@@ -74,7 +74,7 @@ class RootModel:
 
 
 def _exact_unit_draws(k: int, rng: np.random.Generator, open_interval: bool = False) -> list[Fraction]:
-    """k distinct dyadic rationals in [0, 1), uniform over the 2^53 grid.
+    """k distinct dyadic rationals in [0, 1), uniform over the 2^53 grid, sorted.
 
     With open_interval the value 0 is rejected as well (roots must stay
     strictly inside (0, 1)).
@@ -85,7 +85,7 @@ def _exact_unit_draws(k: int, rng: np.random.Generator, open_interval: bool = Fa
             if open_interval and v == 0:
                 continue
             seen.add(int(v))
-    return [Fraction(v, _DYADIC) for v in seen]
+    return [Fraction(v, _DYADIC) for v in sorted(seen)]
 
 
 def uniform_points(n: int, rng: np.random.Generator, backend: str = FLOAT):
@@ -93,7 +93,7 @@ def uniform_points(n: int, rng: np.random.Generator, backend: str = FLOAT):
     if n < 1:
         raise ValueError("n must be at least 1")
     if backend == EXACT:
-        return tuple(sorted(_exact_unit_draws(n, rng)))
+        return tuple(_exact_unit_draws(n, rng))
     pts = rng.random(n)
     pts = np.unique(pts)  # sorts; exact float collisions are resampled
     while len(pts) < n:
@@ -120,7 +120,7 @@ def sample_hidden(
     d = model.d
     if model.kind == UNIFORM:
         if backend == EXACT:
-            roots = sorted(_exact_unit_draws(d, rng, open_interval=True))
+            roots = _exact_unit_draws(d, rng, open_interval=True)
         else:
             roots = np.sort(rng.random(d))
             while len(np.unique(roots)) < d or roots[0] == 0.0:

@@ -245,7 +245,9 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "mean_rounds": float(np.mean([r["rounds"] for r in chunk])),
         }
         if config.learner == SAMPLE_SEARCH:
-            stats["mean_z"] = float(np.mean([r["z"] for r in chunk]))
+            # a trial that raised has z = "" and no probe count to average
+            zs = [r["z"] for r in chunk if r["z"] != ""]
+            stats["mean_z"] = float(np.mean(zs)) if zs else None
             stats["case_counts"] = {
                 c: sum(1 for r in chunk if r["case"] == c) for c in ("a", "b")
             }

@@ -5,12 +5,20 @@ either exact rationals (``fractions.Fraction`` / ``int``) or float64.  The
 exact backend never rounds, which is what the adversarial constructions and
 small-scale ground-truth checks need; the float backend is for large sweeps.
 
+Exact signs come from one integer kernel.  At construction an exact
+polynomial also stores its coefficients as integers c_i over their positive
+lcm denominator D.  ``eval_sign`` at x = a/b (b > 0) returns the sign of
+sum(c_i a**i b**(deg-i)) = D * b**deg * p(x), computed by integer Horner
+with no gcds and no ``Fraction`` objects.  ``eval`` is for values: on the
+exact backend it is ``Fraction`` Horner.
+
 Sign convention: sign(0) = +1 everywhere, with no tolerance band.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence, Union
@@ -46,10 +54,11 @@ class Polynomial:
 
     ``coeffs`` has trailing zeros stripped, so the last entry is the leading
     coefficient unless the polynomial is identically zero (empty tuple,
-    degree -1).
+    degree -1).  An exact polynomial also keeps ``_ints``, the coefficients
+    times their positive lcm denominator, for ``eval_sign``.
     """
 
-    __slots__ = ("coeffs", "backend")
+    __slots__ = ("coeffs", "backend", "_ints")
 
     def __init__(self, coeffs: Iterable[Scalar], backend: str | None = None):
         coeffs = list(coeffs)
@@ -57,15 +66,20 @@ class Polynomial:
             coeffs.pop()
         if backend is None:
             backend = EXACT if all(_is_exact(c) for c in coeffs) else FLOAT
+        ints = None
         if backend == EXACT:
             if not all(_is_exact(c) for c in coeffs):
                 raise BackendMismatch("exact polynomial given non-rational coefficients")
+            # int() keeps numpy integers from wrapping in the Horner products
+            den = math.lcm(*(int(c.denominator) for c in coeffs))
+            ints = tuple(int(c.numerator) * (den // int(c.denominator)) for c in coeffs)
         elif backend == FLOAT:
             coeffs = [float(c) for c in coeffs]
         else:
             raise ValueError(f"unknown backend {backend!r}")
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "_ints", ints)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -102,7 +116,19 @@ class Polynomial:
         return np.polynomial.polynomial.polyval(xs, np.asarray(self.coeffs))
 
     def eval_sign(self, x: Scalar) -> int:
-        return sign_of(self.eval(x))
+        """Sign of p(x); exact polynomials use integer Horner on ``_ints``."""
+        if self.backend == FLOAT:
+            return sign_of(self.eval(x))
+        x = self._check_point(x)
+        ints = self._ints
+        if not ints:
+            return 1
+        a, b = int(x.numerator), int(x.denominator)
+        acc, bpow = ints[-1], 1
+        for c in ints[-2::-1]:
+            bpow *= b
+            acc = acc * a + c * bpow
+        return sign_of(acc)
 
     def eval_sign_many(self, xs: np.ndarray) -> np.ndarray:
         vals = self.eval_many(xs)
@@ -122,22 +148,6 @@ class Polynomial:
             coeffs = tuple(i * coeffs[i] for i in range(1, len(coeffs)))
         return Polynomial(coeffs, backend=self.backend)
 
-    def __mul__(self, scalar):
-        return Polynomial([scalar * c for c in self.coeffs], backend=self.backend)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.backend != other.backend:
-            raise BackendMismatch("cannot add polynomials of different backends")
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(out, backend=self.backend)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
@@ -150,9 +160,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r}, backend={self.backend!r})"
-
-    def to_float(self) -> "Polynomial":
-        return Polynomial([float(c) for c in self.coeffs], backend=FLOAT)
 
     def to_json(self) -> dict:
         if self.backend == EXACT:

@@ -75,6 +75,31 @@ class TestRun:
         assert stats["model"] == "dirichlet"
         assert stats["case_counts"]["a"] + stats["case_counts"]["b"] == 8
 
+    def test_sample_search_cell_stats_survive_a_raising_trial(self, tmp_path):
+        # stream 4 sees 9 flips for 8 promised roots and raises DegreeViolation
+        out = tmp_path / "ss.csv"
+        result = run(
+            small_config(
+                learner=harness.SAMPLE_SEARCH,
+                model="dirichlet",
+                dirichlet_alpha=0.2,
+                d_values=(8,),
+                n_values=(4096,),
+                trials=10,
+                master_seed=1,
+                out=str(out),
+            )
+        )
+        assert len(result.rows) == 10
+        failed = [r for r in result.rows if r["z"] == ""]
+        assert len(failed) == 1
+        assert failed[0]["case"].startswith("DegreeViolation")
+        assert not failed[0]["correct"]
+        z = [r["z"] for r in result.rows if r["z"] != ""]
+        assert len(z) == 9
+        assert result.cell_stats[0]["mean_z"] == float(np.mean(z))
+        assert len(read_csv(out)) == 10
+
     def test_parallel_matches_serial(self, tmp_path):
         cfg = small_config(trials=6)
         serial = run(cfg)

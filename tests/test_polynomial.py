@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -63,6 +64,23 @@ class TestEvalSign:
         assert h.eval(215) == -18343585
         assert h.eval_sign(215) == -1
 
+    def test_exact_kernel_edge_cases(self):
+        assert Polynomial([]).eval_sign(F(1, 3)) == 1  # zero polynomial
+        assert Polynomial([F(-1, 3)]).eval_sign(5) == -1  # constant
+        p = from_roots([F(1, 4), F(1, 2), F(3, 4)], leading=-1)
+        assert [p.eval_sign(x) for x in (0, F(3, 8), F(5, 8), 1)] == [1, -1, 1, -1]
+        assert [p.eval_sign(r) for r in (F(1, 4), F(1, 2), F(3, 4))] == [1, 1, 1]
+        # derivative: -(3x^2 - 3x + 11/16) has roots 1/2 +- 1/sqrt(48)
+        dp = p.derivative()
+        assert [dp.eval_sign(x) for x in (0, F(1, 2), 1)] == [-1, 1, -1]
+
+    def test_exact_kernel_does_not_wrap_numpy_integers(self):
+        # numpy integers are Rational; int64 products would wrap silently
+        p = Polynomial([np.int64(-(2**40)), F(1, 2**30)])  # scaled constant -2^70
+        assert p.eval_sign(0) == -1
+        q = Polynomial([np.int64(-1)] + [np.int64(0)] * 5 + [np.int64(1)])  # x^6 - 1
+        assert q.eval_sign(np.int64(2**11)) == 1
+
     def test_sign_of_zero(self):
         assert sign_of(0) == 1
         assert sign_of(0.0) == 1
@@ -110,6 +128,10 @@ class TestBackends:
     def test_exact_rejects_float_point(self):
         with pytest.raises(BackendMismatch):
             Polynomial([1, 1]).eval(0.5)
+        with pytest.raises(BackendMismatch):
+            Polynomial([F(1, 3), 1]).eval_sign(0.5)
+        with pytest.raises(BackendMismatch):
+            Polynomial([]).eval_sign(0.5)
 
     def test_exact_rejects_float_coeff(self):
         with pytest.raises(BackendMismatch):
@@ -145,9 +167,12 @@ point_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=64)
 )
 @settings(max_examples=60, deadline=None)
 def test_derivative_is_linear(a, b, order):
+    def added(u, v):
+        return [x + y for x, y in zip_longest(u, v, fillvalue=0)]
+
     pa, pb = Polynomial(a), Polynomial(b)
-    lhs = (pa + pb).derivative(order)
-    rhs = pa.derivative(order) + pb.derivative(order)
+    lhs = Polynomial(added(a, b)).derivative(order)
+    rhs = Polynomial(added(pa.derivative(order).coeffs, pb.derivative(order).coeffs))
     assert lhs == rhs
 
 
@@ -176,7 +201,7 @@ def test_sign_flips_exactly_once_across_each_root(roots, leading):
 @settings(max_examples=150, deadline=None)
 def test_exact_and_float_signs_agree_away_from_zero(coeffs, x):
     exact = Polynomial(coeffs)
-    fl = exact.to_float()
+    fl = Polynomial([float(c) for c in coeffs], backend=FLOAT)
     xf = float(x)
     acc = 0.0
     max_mag = 1.0
@@ -186,6 +211,41 @@ def test_exact_and_float_signs_agree_away_from_zero(coeffs, x):
     exact_val = exact.eval(x)
     assume(abs(exact_val) > max_mag * 2.0**-40)
     assert fl.eval_sign(xf) == exact.eval_sign(x)
+
+
+# sample points are dyadic with denominator 2^53, as the exact backend draws them
+dyadic_points = st.integers(min_value=-(2**54), max_value=2**54).map(lambda v: F(v, 2**53))
+exact_points = st.one_of(point_fractions, dyadic_points, st.integers(min_value=-9, max_value=9))
+
+
+@given(
+    coeffs=st.lists(coeff_fractions, min_size=0, max_size=7),
+    x=exact_points,
+    order=st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_exact_sign_kernel_matches_fraction_value(coeffs, x, order):
+    # the integer kernel against the sign of the Fraction value, for either
+    # leading sign; the empty list is the zero polynomial (sign +1)
+    for s in (1, -1):
+        p = Polynomial([s * c for c in coeffs]).derivative(order)
+        assert p.eval_sign(x) == sign_of(p.eval(x))
+
+
+@given(
+    roots=st.lists(st.one_of(point_fractions, dyadic_points), min_size=1, max_size=6, unique=True),
+    scale=coeff_fractions.filter(lambda c: c != 0),
+    pick=st.integers(min_value=0, max_value=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_exact_sign_kernel_at_roots(roots, scale, pick):
+    p = from_roots(roots)
+    p = Polynomial([scale * c for c in p.coeffs])
+    root = roots[pick % len(roots)]
+    assert p.eval(root) == 0
+    assert p.eval_sign(root) == 1  # sign(0) = +1
+    for x in (root - F(1, 2**60), root + F(1, 2**60)):
+        assert p.eval_sign(x) == sign_of(p.eval(x))
 
 
 @given(
