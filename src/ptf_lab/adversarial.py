@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .batch import restricted_infer
+from .batch import infer_labels
 from .polynomial import EXACT, Polynomial, from_roots, sign_pattern
 
 DEFAULT_BIT_BUDGET = 2**20
@@ -123,20 +123,21 @@ def count_restricted_inferences(w: Witness) -> int:
 
     The rule is only sound when both sandwich endpoints expose the signs of
     every order 0..d-1, so witnesses whose query set lacks one of those
-    orders admit no inference at all.  For full-order witnesses the count is
-    decided by pattern comparisons under the base polynomial.
+    orders admit no inference at all.  For full-order witnesses each point
+    in turn is withheld and ``batch.infer_labels`` is asked about it, with
+    the points named by their rank in x order and their patterns taken
+    under the base polynomial.
     """
-    needed = set(range(w.d))
-    if not needed <= set(w.query_orders):
+    if not set(range(w.d)) <= set(w.query_orders):
         return 0
-    patterns = [sign_pattern(w.base, x, w.d)[: w.d] for x in w.points]
+    by_x = sorted(w.points)
+    patterns = np.array([sign_pattern(w.base, x, w.d)[: w.d] for x in by_x], dtype=np.int8)
+    ranks = np.arange(len(by_x))
     count = 0
-    for i in range(len(w.points)):
-        queried = [
-            (x, patterns[j]) for j, x in enumerate(w.points) if j != i
-        ]
-        if restricted_infer(queried, [w.points[i]]):
-            count += 1
+    for r in ranks:
+        queried = np.delete(ranks, r)
+        positions, _ = infer_labels(queried, np.delete(patterns, r, axis=0), ranks[r : r + 1])
+        count += len(positions)
     return count
 
 

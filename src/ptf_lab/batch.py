@@ -9,15 +9,15 @@ endpoint labels, so the inferred label is always correct.  Once few enough
 points remain they are queried exhaustively in a single final round.
 
 The restricted rule needs the sign of every order 0..d-1 at both sandwich
-endpoints; no inference is attempted from partial patterns.
+endpoints; no inference is attempted from partial patterns.  The rule lives
+in ``infer_labels``, which ``adversarial.count_restricted_inferences`` also
+uses to count the points a witness leaves inferable.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -71,44 +71,17 @@ class BatchParams:
         return (self.m - 2 * self.k) / self.m
 
 
-def restricted_infer(
-    queried: Sequence[tuple], targets: Sequence
-) -> list[tuple[int, int]]:
-    """Labels inferable from sandwiching queried points with equal patterns.
-
-    ``queried`` holds (x, pattern) pairs sorted by x; ``targets`` is sorted.
-    A target strictly between two adjacent queried points whose patterns are
-    identical gets their shared label (pattern entry 0).  Returns
-    (target_index, sign) pairs for the inferable targets only.
-    """
-    if len(queried) < 2:
-        return []
-    xs = [x for x, _ in queried]
-    patterns = [tuple(p) for _, p in queried]
-    pair_equal = [patterns[i] == patterns[i + 1] for i in range(len(patterns) - 1)]
-    out = []
-    for idx, t in enumerate(targets):
-        pos = bisect.bisect_left(xs, t)
-        if 0 < pos < len(xs) and xs[pos] != t and pair_equal[pos - 1]:
-            out.append((idx, patterns[pos - 1][0]))
-    return out
-
-
-def coverage(queried: Sequence[tuple], remaining: Sequence) -> float:
-    """Fraction of the remaining (unqueried) points inferable from queried patterns."""
-    if len(remaining) == 0:
-        return 1.0
-    return len(restricted_infer(queried, remaining)) / len(remaining)
-
-
-def _infer_indices(
+def infer_labels(
     queried_idx: np.ndarray, patterns: np.ndarray, target_idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized restricted_infer on point indices.
+    """Labels inferable from sandwiching queried points with equal patterns.
 
-    queried_idx: sorted int array; patterns: int8 array (len(queried), d);
-    target_idx: sorted int array disjoint from queried_idx.  Returns
-    (positions into target_idx, inferred signs).
+    Points are named by their index in x order.  ``queried_idx`` is sorted
+    and ``patterns`` holds its points' sign patterns, one int8 row of orders
+    0..d-1 each; ``target_idx`` is sorted and disjoint from ``queried_idx``.
+    A target strictly between two adjacent queried points whose patterns are
+    identical gets their shared label (pattern entry 0).  Returns (positions
+    into target_idx, inferred signs) for the inferable targets only.
     """
     if len(queried_idx) < 2 or len(target_idx) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)
@@ -132,10 +105,9 @@ class BatchResult:
 def _query_patterns(instance: Instance, oracle: Oracle, idx: np.ndarray) -> np.ndarray:
     """Full patterns for the given point indices, sent as one batch round."""
     d = instance.d
-    pts = instance.points
-    requests = [(pts[i], order) for order in range(d) for i in idx]
-    answers = oracle.query_batch(requests)
-    return np.array(answers, dtype=np.int8).reshape(d, len(idx)).T
+    xs = np.tile(np.asarray(instance.points)[idx], d)
+    orders = np.repeat(np.arange(d), len(idx))
+    return oracle.query_batch(xs, orders).reshape(d, len(idx)).T
 
 
 def learn_all(
@@ -170,7 +142,7 @@ def learn_all(
             patterns = _query_patterns(instance, oracle, queried_idx)
             loop_rounds += 1
             unqueried = np.delete(remaining, sampled)
-            positions, signs = _infer_indices(queried_idx, patterns, unqueried)
+            positions, signs = infer_labels(queried_idx, patterns, unqueried)
             cov = 1.0 if len(unqueried) == 0 else len(positions) / len(unqueried)
             if cov >= threshold:
                 break

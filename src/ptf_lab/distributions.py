@@ -62,16 +62,6 @@ class RootModel:
             if self.alpha is None or self.alpha <= 0:
                 raise ValueError("dirichlet model needs alpha > 0")
 
-    def to_json(self) -> dict:
-        out = {"kind": self.kind, "d": self.d}
-        if self.kind == DIRICHLET:
-            out["alpha"] = self.alpha
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RootModel":
-        return cls(obj["kind"], obj["d"], obj.get("alpha"))
-
 
 def _exact_unit_draws(k: int, rng: np.random.Generator, open_interval: bool = False) -> list[Fraction]:
     """k distinct dyadic rationals in [0, 1), uniform over the 2^53 grid, sorted.
@@ -115,7 +105,9 @@ def sample_hidden(
     """Sample a degree-d polynomial with the model's root distribution.
 
     Uniform: d i.i.d. U[0,1] roots.  Dirichlet: roots are prefix sums of the
-    d+1 sampled gaps.  All roots land strictly inside (0,1).
+    d+1 sampled gaps; on the float backend, gaps whose prefix sums repeat a
+    root or round one to 0 or 1 are drawn again.  All roots land strictly
+    inside (0,1).
     """
     d = model.d
     if model.kind == UNIFORM:
@@ -134,7 +126,10 @@ def sample_hidden(
             exact_gaps = [g / total for g in exact_gaps]  # sums to 1 exactly
             roots = list(itertools.accumulate(exact_gaps))[:d]
         else:
-            roots = list(np.cumsum(gaps)[:d])
+            roots = np.cumsum(gaps)[:d]
+            while not np.all(np.diff(roots, prepend=0.0, append=1.0) > 0):
+                roots = np.cumsum(dirichlet_gaps(d, model.alpha, rng))[:d]
+            roots = list(roots)
     assert all(0 < r < 1 for r in roots), "roots must lie strictly inside (0,1)"
     return from_roots(roots, leading=leading, backend=backend)
 
@@ -217,11 +212,3 @@ def dirichlet_entropy_surrogate(n: int, d: int) -> float:
     """Asymptotic stand-in (d-1) * log2 n for sweeps where the exact
     summation is infeasible.  Callers must flag results as surrogate."""
     return (d - 1) * math.log2(n)
-
-
-def entropy_lower_bound_dirichlet(n: int, d: int, alpha: float, mode: str = "exact") -> float:
-    if mode == "exact":
-        return dirichlet_multinomial_entropy(n, d, alpha)
-    if mode == "surrogate":
-        return dirichlet_entropy_surrogate(n, d)
-    raise ValueError(f"unknown mode {mode!r}")

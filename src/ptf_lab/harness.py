@@ -138,7 +138,6 @@ def _run_single_trial(args: tuple) -> dict:
     start = time.perf_counter()
     error = None
     labels = None
-    segment_counts = None
     if config.learner == SAMPLE_SEARCH:
         oracle = Oracle(instance.hidden, QuerySet.label_only(d))
     else:
@@ -147,7 +146,6 @@ def _run_single_trial(args: tuple) -> dict:
         if config.learner == ITERATIVE:
             result = iterative.learn_all(instance, oracle)
             labels = result.labels
-            segment_counts = result.segment_counts
         elif config.learner == BATCH:
             params = batch.BatchParams(d=d, n=n, alpha=cell["alpha"])
             result = batch.learn_all(instance, oracle, params, rng)
@@ -157,11 +155,7 @@ def _run_single_trial(args: tuple) -> dict:
             labels = result.labels
             row["z"] = result.z
             row["case"] = result.case
-    except (
-        iterative.MonotonicityViolation,
-        batch.NonTermination,
-        sample_search.DegreeViolation,
-    ) as exc:
+    except (batch.NonTermination, sample_search.DegreeViolation) as exc:
         error = f"{type(exc).__name__}: {exc}"
     wall_ms = (time.perf_counter() - start) * 1000.0
 
@@ -187,7 +181,6 @@ def _run_single_trial(args: tuple) -> dict:
     )
     if error is not None:
         row["case"] = error
-    row["_segment_counts"] = segment_counts  # not serialized; used by callers
     return row
 
 

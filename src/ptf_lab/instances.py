@@ -7,12 +7,11 @@ reach it exclusively through an Oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
-from .polynomial import EXACT, FLOAT, Polynomial, Scalar
+from .polynomial import EXACT, FLOAT, Polynomial
 
 Points = Union[np.ndarray, tuple]
 
@@ -47,10 +46,7 @@ class Instance:
 
 def true_signs(instance: Instance, order: int = 0) -> np.ndarray:
     """Ground-truth signs of the hidden polynomial's order-th derivative at all points."""
-    p = instance.hidden.derivative(order)
-    if instance.backend == FLOAT:
-        return p.eval_sign_many(np.asarray(instance.points))
-    return np.array([p.eval_sign(x) for x in instance.points], dtype=np.int8)
+    return instance.hidden.derivative(order).eval_sign_many(instance.points)
 
 
 def true_labels(instance: Instance) -> np.ndarray:

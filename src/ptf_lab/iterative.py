@@ -10,13 +10,16 @@ short-circuit the search: a monotone function whose endpoints share a sign
 
 The resulting worst-case query count is the assertable bound
 ``query_bound(d, n)``; no d-th order query is ever issued.
+
+``find_flip`` is the one monotone flip search of the package: it serves
+``binary_search_segment`` here and the per-gap search of ``sample_search``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,14 +27,6 @@ from .instances import Instance
 from .oracle import Oracle
 
 Segment = tuple[int, int]  # inclusive point-index range
-
-
-class MonotonicityViolation(RuntimeError):
-    """Observed signs inside a segment are inconsistent with a single flip.
-
-    Cannot happen with the exact backend; under floats it signals a sign tie
-    that corrupted a learned level.  Fatal for the trial, never repaired.
-    """
 
 
 def segment_bound(d: int, level: int) -> int:
@@ -62,6 +57,22 @@ def partition_fixed_pattern(points: Sequence, higher_signs: Sequence[np.ndarray]
         lo = int(b) + 1
     segments.append((lo, n - 1))
     return segments
+
+
+def find_flip(ask: Callable[[int], int], a: int, b: int, s_a: int) -> int:
+    """Last index of a monotone stretch a..b that still has sign s_a.
+
+    Needs ask(a) = s_a != ask(b), which the caller has already seen.  Probes
+    the midpoint (a + b) // 2 until a and b are adjacent: at most
+    ceil(log2(b - a)) calls of ask.
+    """
+    while b - a > 1:
+        mid = (a + b) // 2
+        if ask(mid) == s_a:
+            a = mid
+        else:
+            b = mid
+    return a
 
 
 def binary_search_segment(
@@ -98,15 +109,7 @@ def binary_search_segment(
     if s_lo == s_hi:
         out[:] = s_lo
         return out
-    a, b = lo, hi
-    while b - a > 1:
-        mid = (a + b) // 2
-        if ask(mid) == s_lo:
-            a = mid
-        else:
-            b = mid
-    if not a < b:
-        raise MonotonicityViolation(f"binary search collapsed on segment {seg}")
+    a = find_flip(ask, lo, hi, s_lo)
     out[: a - lo + 1] = s_lo
     out[a - lo + 1 :] = s_hi
     return out

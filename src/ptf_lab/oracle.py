@@ -2,8 +2,15 @@
 
 The oracle answers sign queries about a hidden polynomial and its
 derivatives, and counts every answered query.  It never caches: repeated
-queries are re-counted, so honest memoization is the learner's job.  A batch
-of m queries costs m toward the query total but only 1 round.
+queries are re-counted, so honest memoization is the learner's job.
+
+There are two request shapes.  ``query(x, order)`` asks one question and
+costs 1 query and 1 round.  ``query_batch(xs, orders)`` asks question i
+about ``xs[i]`` and ``orders[i]`` and returns an int8 array of answers; a
+batch of m requests costs m queries but only 1 round.  It evaluates each
+order's points with one ``eval_sign_many`` call, whose signs equal
+``eval_sign``'s point by point, so a batch answers exactly what the same
+requests asked one by one would.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomial import FLOAT, Polynomial, Scalar, sign_of
+from .polynomial import Polynomial, Scalar
 
 
 class DisallowedOrder(Exception):
@@ -43,13 +50,6 @@ class QuerySet:
     def label_only(cls, d: int) -> "QuerySet":
         return cls(d, frozenset({0}))
 
-    @classmethod
-    def missing(cls, d: int, order: int) -> "QuerySet":
-        """All orders 0..d-1 except one (which must not be 0)."""
-        if not 1 <= order <= d - 1:
-            raise ValueError("can only remove orders 1..d-1")
-        return cls(d, frozenset(range(d)) - {order})
-
     def is_full(self) -> bool:
         return self.allowed_orders == frozenset(range(self.d))
 
@@ -62,20 +62,12 @@ class QueryLedger:
     rounds: int = 0
     per_order: dict[int, int] = field(default_factory=dict)
 
-    def record(self, orders: Sequence[int]) -> None:
-        if not orders:
-            return
-        self.total += len(orders)
+    def record(self, orders: Sequence[int], counts: Sequence[int]) -> None:
+        """Count one round of counts[i] queries about orders[i]."""
+        for o, c in zip(orders, counts):
+            self.per_order[o] = self.per_order.get(o, 0) + c
+            self.total += c
         self.rounds += 1
-        for o in orders:
-            self.per_order[o] = self.per_order.get(o, 0) + 1
-
-    def to_json(self) -> dict:
-        return {
-            "total": self.total,
-            "rounds": self.rounds,
-            "per_order": {str(o): c for o, c in sorted(self.per_order.items())},
-        }
 
 
 class Oracle:
@@ -86,12 +78,10 @@ class Oracle:
     probes arbitrary points), and it is deterministic in (hidden, x, order).
     """
 
-    def __init__(self, hidden: Polynomial, qset: QuerySet, leading_sign_public: bool = False):
+    def __init__(self, hidden: Polynomial, qset: QuerySet):
         if hidden.degree > qset.d:
             raise ValueError("hidden polynomial degree exceeds the ambient bound")
-        self._hidden = hidden
         self.qset = qset
-        self.leading_sign_public = leading_sign_public
         self.ledger = QueryLedger()
         derivs = [hidden]
         for _ in range(qset.d):
@@ -102,59 +92,33 @@ class Oracle:
     def d(self) -> int:
         return self.qset.d
 
-    def _answer(self, x: Scalar, order: int) -> int:
-        return self._derivs[order].eval_sign(x)
-
     def query(self, x: Scalar, order: int) -> int:
         """One sign query; counts 1 query and 1 round."""
         if order not in self.qset.allowed_orders:
             raise DisallowedOrder(f"order {order} not in query set")
-        ans = self._answer(x, order)
-        self.ledger.record([order])
+        ans = self._derivs[order].eval_sign(x)
+        self.ledger.record((order,), (1,))
         return ans
 
-    def query_batch(self, requests: Sequence[tuple[Scalar, int]]) -> list[int]:
-        """Answer all requests as one round; rejects the whole batch on a bad order.
+    def query_batch(self, xs: Sequence[Scalar], orders: Sequence[int]) -> np.ndarray:
+        """Answer sign(hidden^(orders[i]))(xs[i]) for every i as one round.
 
-        An empty batch is free: no queries, no round.
+        A bad order rejects the whole batch before anything is counted.  An
+        empty batch is free: no queries, no round.
         """
-        for _, order in requests:
+        if len(xs) != len(orders):
+            raise ValueError("xs and orders must have equal length")
+        orders = np.asarray(orders, dtype=np.int64)
+        present, counts = np.unique(orders, return_counts=True)
+        present = present.tolist()
+        for order in present:
             if order not in self.qset.allowed_orders:
                 raise DisallowedOrder(f"order {order} not in query set")
-        if not requests:
-            return []
-        answers = self._answer_batch(requests)
-        self.ledger.record([order for _, order in requests])
+        answers = np.empty(len(orders), dtype=np.int8)
+        if present:
+            xs = np.asarray(xs)
+            for order in present:
+                sel = orders == order
+                answers[sel] = self._derivs[order].eval_sign_many(xs[sel])
+            self.ledger.record(present, counts.tolist())
         return answers
-
-    def _answer_batch(self, requests: Sequence[tuple[Scalar, int]]) -> list[int]:
-        if self._hidden.backend == FLOAT and len(requests) >= 32:
-            # group by order so each derivative is evaluated vectorized
-            answers = [0] * len(requests)
-            by_order: dict[int, list[int]] = {}
-            for pos, (_, order) in enumerate(requests):
-                by_order.setdefault(order, []).append(pos)
-            for order, positions in by_order.items():
-                xs = np.array([requests[p][0] for p in positions], dtype=np.float64)
-                signs = self._derivs[order].eval_sign_many(xs)
-                for p, s in zip(positions, signs):
-                    answers[p] = int(s)
-            return answers
-        return [self._answer(x, order) for x, order in requests]
-
-    def full_pattern_query(self, x: Scalar) -> tuple[int, ...]:
-        """Signs of all queryable derivative orders at x, in one round of d queries.
-
-        Requires the full query set.  When the leading sign is declared
-        public the analytically-known constant sign of the d-th derivative is
-        appended for free, giving a (d+1)-length pattern.
-        """
-        if not self.qset.is_full():
-            raise DisallowedOrder("full pattern requires all orders 0..d-1")
-        pattern = tuple(self._answer(x, o) for o in range(self.d))
-        self.ledger.record(list(range(self.d)))
-        if self.leading_sign_public:
-            top = self._derivs[self.d]
-            top_sign = sign_of(top.coeffs[0]) if top.coeffs else 1
-            pattern = pattern + (top_sign,)
-        return pattern

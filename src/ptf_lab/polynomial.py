@@ -9,15 +9,17 @@ Exact signs come from one integer kernel.  At construction an exact
 polynomial also stores its coefficients as integers c_i over their positive
 lcm denominator D.  ``eval_sign`` at x = a/b (b > 0) returns the sign of
 sum(c_i a**i b**(deg-i)) = D * b**deg * p(x), computed by integer Horner
-with no gcds and no ``Fraction`` objects.  ``eval`` is for values: on the
-exact backend it is ``Fraction`` Horner.
+with no gcds and no ``Fraction`` objects.  ``eval_sign_many`` gives the
+same signs at many points: float Horner in numpy on the float backend (the
+same operations, in the same order, as ``eval``), and ``eval_sign`` per
+point on the exact backend.  ``eval`` is for values: on the exact backend it
+is ``Fraction`` Horner.
 
 Sign convention: sign(0) = +1 everywhere, with no tolerance band.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from numbers import Rational
@@ -89,9 +91,6 @@ class Polynomial:
         """Highest index with a nonzero coefficient; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def _check_point(self, x):
         if self.backend == EXACT:
             if not _is_exact(x):
@@ -106,14 +105,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized Horner evaluation (float backend only)."""
-        if self.backend != FLOAT:
-            raise BackendMismatch("eval_many requires the float backend")
-        if not self.coeffs:
-            return np.zeros(len(xs))
-        return np.polynomial.polynomial.polyval(xs, np.asarray(self.coeffs))
 
     def eval_sign(self, x: Scalar) -> int:
         """Sign of p(x); exact polynomials use integer Horner on ``_ints``."""
@@ -130,9 +121,13 @@ class Polynomial:
             acc = acc * a + c * bpow
         return sign_of(acc)
 
-    def eval_sign_many(self, xs: np.ndarray) -> np.ndarray:
-        vals = self.eval_many(xs)
-        return np.where(vals < 0, -1, 1).astype(np.int8)
+    def eval_sign_many(self, xs: Sequence[Scalar]) -> np.ndarray:
+        """``eval_sign`` at every point of xs, as an int8 array."""
+        if self.backend == FLOAT:
+            xs = np.asarray(xs, dtype=np.float64)
+            vals = np.polynomial.polynomial.polyval(xs, self.coeffs or (0.0,))
+            return np.where(vals < 0, -1, 1).astype(np.int8)
+        return np.fromiter((self.eval_sign(x) for x in xs), dtype=np.int8, count=len(xs))
 
     def derivative(self, order: int = 1) -> "Polynomial":
         """Formal derivative applied ``order`` times (order 0 returns self)."""
@@ -176,13 +171,6 @@ class Polynomial:
         else:
             coeffs = [float(c) for c in obj["coeffs"]]
         return cls(coeffs, backend=backend)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "Polynomial":
-        return cls.from_json(json.loads(text))
 
 
 def from_roots(roots: Sequence[Scalar], leading: int = 1, backend: str | None = None) -> Polynomial:

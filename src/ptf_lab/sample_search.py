@@ -4,28 +4,25 @@ Phase 1 queries uniformly random not-yet-queried points until either every
 point has been queried (case "a") or the queried points, read in sorted
 order, show d sign flips (case "b").  With a hidden polynomial of exactly d
 real roots, d flips pin one root per flip gap, so each gap's boundary is
-found by binary search and every other point inherits the sign of its
-bracketing queried neighbours.
+found by binary search (``iterative.find_flip``, the same search the
+iterative learner runs on a segment) and every other point inherits the
+sign of its bracketing queried neighbours.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .instances import Instance
+from .iterative import find_flip
 from .oracle import Oracle
 
 
 class DegreeViolation(RuntimeError):
     """More sign flips observed than the promised number of real roots."""
-
-
-class InvalidDistribution(ValueError):
-    """Gap probabilities do not form a distribution."""
 
 
 @dataclass
@@ -105,59 +102,22 @@ def sample_and_search(
             labels[idx] = s
         return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case="a", flips=flips)
 
+    def ask(idx: int) -> int:
+        nonlocal search_queries
+        search_queries += 1
+        return oracle.query(points[idx], 0)
+
     # locate each flip boundary among the points strictly inside its gap
     boundaries = []  # index b: sign changes between points b and b+1
-    for qpos in range(len(queried) - 1):
-        lo, hi = queried[qpos], queried[qpos + 1]
-        if signs[lo] == signs[hi]:
-            continue
-        s_lo = signs[lo]
-        a, b = lo, hi
-        while b - a > 1:
-            mid = (a + b) // 2
-            s_mid = oracle.query(points[mid], 0)
-            search_queries += 1
-            if s_mid == s_lo:
-                a = mid
-            else:
-                b = mid
-        boundaries.append(a)
+    for lo, hi in zip(queried, queried[1:]):
+        if signs[lo] != signs[hi]:
+            boundaries.append(find_flip(ask, lo, hi, signs[lo]))
 
-    first_sign = signs[queried[0]]
-    sign = first_sign
+    sign = signs[queried[0]]
     prev = 0
-    for b in sorted(boundaries):
+    for b in boundaries:
         labels[prev : b + 1] = sign
         sign = -sign
         prev = b + 1
     labels[prev:] = sign
     return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case="b", flips=flips)
-
-
-def capped_coupon_statistic(gaps: Sequence[float], n: int, rng: np.random.Generator) -> int:
-    """Draws from the categorical gap distribution until every category is
-    seen, capped at n draws; returns min(draws-to-complete, n)."""
-    gaps = np.asarray(gaps, dtype=np.float64)
-    if np.any(gaps < 0) or abs(float(gaps.sum()) - 1.0) > 1e-12:
-        raise InvalidDistribution("gap probabilities must be non-negative and sum to 1")
-    if n < 1:
-        raise ValueError("cap must be at least 1")
-    k = len(gaps)
-    cum = np.cumsum(gaps)
-    cum[-1] = 1.0
-    seen = np.zeros(k, dtype=bool)
-    unseen = k
-    drawn = 0
-    chunk = 64
-    while drawn < n:
-        size = min(chunk, n - drawn)
-        cats = np.searchsorted(cum, rng.random(size), side="right")
-        for c in cats:
-            drawn += 1
-            if not seen[c]:
-                seen[c] = True
-                unseen -= 1
-                if unseen == 0:
-                    return drawn
-        chunk = min(4 * chunk, 1 << 16)
-    return n

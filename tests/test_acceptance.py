@@ -280,13 +280,12 @@ def test_criterion_5_coverage_lemma():
         inst = random_instance(500, RootModel("uniform", d), rng)
         sampled = np.unique(rng.integers(0, 500, size=m))
         pts = np.asarray(inst.points)
-        hidden = inst.hidden
-        queried = [
-            (float(pts[i]), sign_pattern(hidden, float(pts[i]), d)[:d]) for i in sampled
-        ]
+        patterns = np.array(
+            [sign_pattern(inst.hidden, float(pts[i]), d)[:d] for i in sampled], dtype=np.int8
+        )
         rest = np.delete(np.arange(500), sampled)
-        cov = batch.coverage(queried, [float(pts[j]) for j in rest])
-        hits += cov >= threshold
+        positions, _ = batch.infer_labels(sampled, patterns, rest)
+        hits += len(positions) / len(rest) >= threshold
     freq = hits / trials
     criterion(
         5,
@@ -303,11 +302,16 @@ def test_criterion_6_inference_dimension_witness():
         for t in range(200):
             rng = Seed(18_000 + d, t).rng()
             inst = random_instance(size, RootModel("uniform", d), rng, backend="exact")
-            patterns = [sign_pattern(inst.hidden, x, d)[:d] for x in inst.points]
+            patterns = np.array(
+                [sign_pattern(inst.hidden, x, d)[:d] for x in inst.points], dtype=np.int8
+            )
+            idx = np.arange(size)
             recovered = 0
             for i in range(size):
-                queried = [(inst.points[j], patterns[j]) for j in range(size) if j != i]
-                if batch.restricted_infer(queried, [inst.points[i]]):
+                positions, _ = batch.infer_labels(
+                    np.delete(idx, i), np.delete(patterns, i, axis=0), idx[i : i + 1]
+                )
+                if len(positions):
                     recovered += 1
                     break
             failures += recovered == 0

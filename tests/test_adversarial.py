@@ -20,7 +20,7 @@ from ptf_lab.adversarial import (
     multivariate_witness,
     verify_witness,
 )
-from ptf_lab.polynomial import Polynomial
+from ptf_lab.polynomial import Polynomial, from_roots
 
 F = Fraction
 
@@ -136,6 +136,27 @@ class TestLinearWitness:
             linear_lower_witness(2, [-1, 1])
         with pytest.raises(ValueError):
             linear_lower_witness(1, [-1])
+
+
+class TestCountRestrictedInferences:
+    # witnesses without alternatives, so that only the base's patterns count
+    @staticmethod
+    def bare(base, orders):
+        return Witness(
+            points=(1, 2, 3, 4, 5), base=base, alternatives=(), query_orders=frozenset(orders), d=2
+        )
+
+    def test_equal_patterns_infer_every_interior_point(self):
+        # x^2 has pattern (+, +) at 1..5: each of 2, 3, 4 is sandwiched
+        assert count_restricted_inferences(self.bare(Polynomial([0, 0, 1]), {0, 1})) == 3
+
+    def test_sign_change_blocks_its_neighbours(self):
+        # x - 5/2 has patterns (-, +) at 1, 2 and (+, +) at 3, 4, 5: only 4
+        base = from_roots([F(5, 2)])
+        assert count_restricted_inferences(self.bare(base, {0, 1})) == 1
+
+    def test_missing_order_infers_nothing(self):
+        assert count_restricted_inferences(self.bare(Polynomial([0, 0, 1]), {0})) == 0
 
 
 class TestWitnessSerialization:

@@ -5,69 +5,74 @@ import math
 import numpy as np
 import pytest
 
-from ptf_lab.batch import (
-    BatchParams,
-    _infer_indices,
-    coverage,
-    learn_all,
-    restricted_infer,
-)
+from ptf_lab.batch import BatchParams, infer_labels, learn_all
 from ptf_lab.instances import true_labels
 from ptf_lab.oracle import Oracle, QuerySet
 from ptf_lab.polynomial import sign_pattern
 
-from util import full_oracle, make_instance, trial_rng
+from util import full_oracle, make_instance, restricted_infer, trial_rng
 
 
 PAT_A = (1, 1)
 PAT_B = (1, -1)
 
 
+def infer(queried, targets):
+    """infer_labels on (index, pattern) pairs and target indices, as (position, sign) pairs."""
+    idx = np.array([i for i, _ in queried], dtype=np.int64)
+    patterns = np.array([p for _, p in queried], dtype=np.int8).reshape(len(queried), -1)
+    positions, signs = infer_labels(idx, patterns, np.array(targets, dtype=np.int64))
+    return [(int(p), int(s)) for p, s in zip(positions, signs)]
+
+
 class TestRestrictedInfer:
+    # points are named by their index in x order
     def test_identical_patterns_sandwich(self):
-        queried = [(0.1, PAT_A), (0.9, PAT_A)]
-        assert restricted_infer(queried, [0.5]) == [(0, 1)]
+        queried = [(1, PAT_A), (9, PAT_A)]
+        assert infer(queried, [5]) == [(0, 1)]
 
     def test_differing_patterns_block_inference(self):
-        queried = [(0.1, PAT_A), (0.9, PAT_B)]
-        assert restricted_infer(queried, [0.5]) == []
+        queried = [(1, PAT_A), (9, PAT_B)]
+        assert infer(queried, [5]) == []
 
     def test_target_outside_queried_range(self):
-        queried = [(0.3, PAT_A), (0.9, PAT_A)]
-        assert restricted_infer(queried, [0.1]) == []
-        assert restricted_infer(queried, [0.95]) == []
+        queried = [(3, PAT_A), (9, PAT_A)]
+        assert infer(queried, [1]) == []
+        assert infer(queried, [10]) == []
 
     def test_target_equal_to_queried_point_not_inferred(self):
-        # strictly-between only: a queried x itself is not sandwiched
-        queried = [(0.1, PAT_A), (0.5, PAT_A), (0.9, PAT_A)]
-        assert restricted_infer(queried, [0.5]) == []
+        # queried 5 is never a target: it ends the pair (1, 5), which labels
+        # its left neighbour 4, and starts (5, 9), which cannot label 6
+        queried = [(1, PAT_A), (5, PAT_A), (9, PAT_B)]
+        assert infer(queried, [4, 6]) == [(0, 1)]
 
     def test_negative_label_inferred(self):
-        queried = [(0.1, (-1, 1)), (0.9, (-1, 1))]
-        assert restricted_infer(queried, [0.5]) == [(0, -1)]
+        queried = [(1, (-1, 1)), (9, (-1, 1))]
+        assert infer(queried, [5]) == [(0, -1)]
 
     def test_adjacency_matters(self):
         # equal outer patterns but a different one in between blocks the pair
-        queried = [(0.1, PAT_A), (0.5, PAT_B), (0.9, PAT_A)]
-        assert restricted_infer(queried, [0.2, 0.7]) == []
+        queried = [(1, PAT_A), (5, PAT_B), (9, PAT_A)]
+        assert infer(queried, [2, 7]) == []
 
 
 class TestCoverage:
+    # learn_all's coverage is the share of unqueried points infer_labels labels
     def test_all_inferred(self):
-        queried = [(0.0, PAT_A), (1.0, PAT_A)]
-        assert coverage(queried, [0.2, 0.4, 0.6]) == 1.0
+        queried = [(0, PAT_A), (10, PAT_A)]
+        assert infer(queried, [2, 4, 6]) == [(0, 1), (1, 1), (2, 1)]
 
     def test_none_inferred(self):
-        queried = [(0.0, PAT_A), (1.0, PAT_B)]
-        assert coverage(queried, [0.2, 0.4]) == 0.0
+        queried = [(0, PAT_A), (10, PAT_B)]
+        assert infer(queried, [2, 4]) == []
 
     def test_fractional(self):
-        queried = [(0.0, PAT_A), (1.0, PAT_A)]
-        remaining = [0.1 * k for k in range(1, 7)] + [2.0, 3.0, 4.0, 5.0]
-        assert coverage(queried, remaining) == pytest.approx(0.6)
+        queried = [(0, PAT_A), (10, PAT_A)]
+        remaining = list(range(1, 7)) + [20, 30, 40, 50]
+        assert len(infer(queried, remaining)) / len(remaining) == pytest.approx(0.6)
 
     def test_empty_remaining(self):
-        assert coverage([(0.0, PAT_A)], []) == 1.0
+        assert infer([(0, PAT_A)], []) == []
 
 
 class TestBatchParams:
@@ -100,7 +105,7 @@ class TestInferIndicesFastPath:
             t = np.setdiff1d(np.arange(n), q)
             patterns = rng.choice([-1, 1], size=(10, 3)).astype(np.int8)
             patterns[:, 0] = 1
-            pos, signs = _infer_indices(q, patterns, t)
+            pos, signs = infer_labels(q, patterns, t)
             generic = restricted_infer(
                 [(int(x), tuple(int(v) for v in p)) for x, p in zip(q, patterns)],
                 [int(x) for x in t],
@@ -143,7 +148,7 @@ class TestLearnAll:
 
     def test_rejects_restricted_oracle(self):
         inst = make_instance(64, 3, seed=1)
-        oracle = Oracle(inst.hidden, QuerySet.missing(3, 2))
+        oracle = Oracle(inst.hidden, QuerySet(3, frozenset({0, 1})))
         with pytest.raises(ValueError):
             learn_all(inst, oracle, BatchParams(d=3, n=64, alpha=0.5), trial_rng(0))
 
@@ -182,15 +187,13 @@ class TestInferenceSoundness:
             d = 1 + seed % 4
             inst = make_instance(60, d, seed=seed + 300, backend="exact")
             idx = np.sort(rng.choice(60, size=12, replace=False))
-            queried = [
-                (inst.points[i], sign_pattern(inst.hidden, inst.points[i], d)[:d])
-                for i in idx
-            ]
-            targets = [inst.points[j] for j in range(60) if j not in set(idx)]
-            target_idx = [j for j in range(60) if j not in set(idx)]
+            patterns = np.array(
+                [sign_pattern(inst.hidden, inst.points[i], d)[:d] for i in idx], dtype=np.int8
+            )
+            target_idx = np.setdiff1d(np.arange(60), idx)
             truth = true_labels(inst)
-            for pos, sign in restricted_infer(queried, targets):
-                assert sign == truth[target_idx[pos]]
+            positions, signs = infer_labels(idx, patterns, target_idx)
+            assert np.array_equal(signs, truth[target_idx[positions]])
 
     def test_pigeonhole_witness_small(self):
         # with |S| = d^2 + d + 3, full patterns on the rest always recover
@@ -199,14 +202,14 @@ class TestInferenceSoundness:
             size = d * d + d + 3
             for seed in range(25):
                 inst = make_instance(size, d, seed=seed + 400, backend="exact")
-                patterns = [
-                    sign_pattern(inst.hidden, x, d)[:d] for x in inst.points
-                ]
+                patterns = np.array(
+                    [sign_pattern(inst.hidden, x, d)[:d] for x in inst.points], dtype=np.int8
+                )
+                idx = np.arange(size)
                 recovered = 0
                 for i in range(size):
-                    queried = [
-                        (inst.points[j], patterns[j]) for j in range(size) if j != i
-                    ]
-                    if restricted_infer(queried, [inst.points[i]]):
-                        recovered += 1
+                    positions, _ = infer_labels(
+                        np.delete(idx, i), np.delete(patterns, i, axis=0), idx[i : i + 1]
+                    )
+                    recovered += len(positions)
                 assert recovered >= 1

@@ -124,7 +124,7 @@ class TestLearnAll:
 
     def test_rejects_restricted_oracle(self):
         inst = make_instance(64, 3, seed=2)
-        oracle = Oracle(inst.hidden, QuerySet.missing(3, 1))
+        oracle = Oracle(inst.hidden, QuerySet(3, frozenset({0, 2})))
         with pytest.raises(ValueError):
             learn_all(inst, oracle)
 

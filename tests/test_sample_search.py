@@ -1,4 +1,4 @@
-"""Sample-and-search learner and capped coupon collector tests."""
+"""Sample-and-search learner tests."""
 
 import itertools
 import math
@@ -10,12 +10,7 @@ import pytest
 from ptf_lab.instances import Instance, true_labels
 from ptf_lab.oracle import Oracle, QuerySet
 from ptf_lab.polynomial import Polynomial, from_roots
-from ptf_lab.sample_search import (
-    DegreeViolation,
-    InvalidDistribution,
-    capped_coupon_statistic,
-    sample_and_search,
-)
+from ptf_lab.sample_search import DegreeViolation, sample_and_search
 
 from util import label_oracle, make_instance, trial_rng, z_law_cdf
 
@@ -128,30 +123,3 @@ def test_z_law_closed_form_matches_enumeration(n, d):
     pmf = enumerated_z_law(n, d)
     cdf = list(itertools.accumulate(pmf))
     assert cdf == [z_law_cdf(z, n, d) for z in range(n + 1)]
-
-
-class TestCappedCoupon:
-    def test_single_coupon(self):
-        assert capped_coupon_statistic([1.0], 10**6, trial_rng(5)) == 1
-
-    def test_cap_binds(self):
-        assert capped_coupon_statistic([0.5, 0.5], 1, trial_rng(6)) == 1
-
-    def test_invalid_distribution(self):
-        with pytest.raises(InvalidDistribution):
-            capped_coupon_statistic([0.5, 0.6], 10, trial_rng(7))
-        with pytest.raises(InvalidDistribution):
-            capped_coupon_statistic([-0.1, 1.1], 10, trial_rng(7))
-
-    def test_uniform_four_matches_closed_form(self):
-        # classical coupon collector: E[Y] = 4 * H_4 = 25/3
-        rng = trial_rng(8)
-        runs = 100_000
-        draws = [capped_coupon_statistic([0.25] * 4, 10**6, rng) for _ in range(runs)]
-        mean = float(np.mean(draws))
-        assert abs(mean - 25 / 3) < 0.02 * (25 / 3)
-
-    def test_min_is_category_count(self):
-        rng = trial_rng(9)
-        for _ in range(100):
-            assert capped_coupon_statistic([0.2] * 5, 10**6, rng) >= 5

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -87,3 +88,23 @@ def dkw_radius(m: int, k: int, delta: float) -> float:
     stay within sqrt(ln(2k / delta) / (2m)) with probability >= 1 - delta.
     """
     return math.sqrt(math.log(2 * k / delta) / (2 * m))
+
+
+def restricted_infer(queried, targets) -> list[tuple[int, int]]:
+    """Reference sandwich rule on point values, for checking batch.infer_labels.
+
+    ``queried`` holds (x, pattern) pairs sorted by x; ``targets`` is sorted.
+    A target strictly between two adjacent queried points whose patterns are
+    identical gets their shared label (pattern entry 0).  Returns
+    (target_index, sign) pairs for the inferable targets only.
+    """
+    if len(queried) < 2:
+        return []
+    xs = [x for x, _ in queried]
+    patterns = [tuple(p) for _, p in queried]
+    out = []
+    for idx, t in enumerate(targets):
+        pos = bisect.bisect_left(xs, t)
+        if 0 < pos < len(xs) and xs[pos] != t and patterns[pos - 1] == patterns[pos]:
+            out.append((idx, patterns[pos - 1][0]))
+    return out
