@@ -12,7 +12,7 @@ from .polynomial import (
     sign_pattern,
 )
 from .oracle import DisallowedOrder, Oracle, QueryLedger, QuerySet
-from .instances import Instance, true_labels, true_signs
+from .instances import Instance, true_labels
 from .distributions import RootModel, Seed, random_instance, uniform_points
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "QuerySet",
     "Instance",
     "true_labels",
-    "true_signs",
     "RootModel",
     "Seed",
     "random_instance",

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .instances import Instance
-from .polynomial import EXACT, FLOAT, Polynomial, from_roots
+from .polynomial import EXACT, FLOAT, from_roots
 
 UNIFORM = "uniform"
 DIRICHLET = "dirichlet"
@@ -99,15 +99,14 @@ def dirichlet_gaps(d: int, alpha: float, rng: np.random.Generator) -> np.ndarray
             return g / g.sum()
 
 
-def sample_hidden(
-    model: RootModel, rng: np.random.Generator, backend: str = FLOAT, leading: int = 1
-) -> Polynomial:
-    """Sample a degree-d polynomial with the model's root distribution.
+def sample_roots(model: RootModel, rng: np.random.Generator, backend: str = FLOAT) -> list:
+    """Sample d sorted, distinct roots with the model's distribution.
 
     Uniform: d i.i.d. U[0,1] roots.  Dirichlet: roots are prefix sums of the
     d+1 sampled gaps; on the float backend, gaps whose prefix sums repeat a
     root or round one to 0 or 1 are drawn again.  All roots land strictly
-    inside (0,1).
+    inside (0,1); they are Fractions on the exact backend and floats on the
+    float backend.
     """
     d = model.d
     if model.kind == UNIFORM:
@@ -117,7 +116,7 @@ def sample_hidden(
             roots = np.sort(rng.random(d))
             while len(np.unique(roots)) < d or roots[0] == 0.0:
                 roots = np.sort(rng.random(d))
-            roots = list(roots)
+            roots = roots.tolist()
     else:
         gaps = dirichlet_gaps(d, model.alpha, rng)
         if backend == EXACT:
@@ -129,9 +128,9 @@ def sample_hidden(
             roots = np.cumsum(gaps)[:d]
             while not np.all(np.diff(roots, prepend=0.0, append=1.0) > 0):
                 roots = np.cumsum(dirichlet_gaps(d, model.alpha, rng))[:d]
-            roots = list(roots)
+            roots = roots.tolist()
     assert all(0 < r < 1 for r in roots), "roots must lie strictly inside (0,1)"
-    return from_roots(roots, leading=leading, backend=backend)
+    return roots
 
 
 def random_instance(
@@ -141,10 +140,12 @@ def random_instance(
     backend: str = FLOAT,
     random_leading: bool = False,
 ) -> Instance:
+    """Draw the leading sign, then the roots, then the points, in that order."""
     leading = int(rng.choice([-1, 1])) if random_leading else 1
-    hidden = sample_hidden(model, rng, backend=backend, leading=leading)
+    roots = sample_roots(model, rng, backend=backend)
+    hidden = from_roots(roots, leading=leading, backend=backend)
     points = uniform_points(n, rng, backend=backend)
-    return Instance(points=points, hidden=hidden, d=model.d)
+    return Instance(points=points, hidden=hidden, d=model.d, roots=roots)
 
 
 def _log2_big(value: int) -> float:

@@ -2,9 +2,11 @@
 
 Every trial draws its own RNG stream from the master seed (stream index =
 cell_index * trials + trial_index), runs one learner on one fresh random
-instance, asserts perfect labeling against the hidden ground truth, and
-yields one CSV row.  Aggregates per sweep cell go to a JSON sidecar that
-entropy comparison consumes.
+instance, and yields one CSV row.  The row's ``correct`` says whether every
+label equals the ground truth that ``instances.true_labels`` reads off the
+instance's roots, which shares no code with the oracle's sign evaluation.
+Aggregates per sweep cell go to a JSON sidecar that entropy comparison
+consumes.
 
 PTF_LAB_THREADS caps the process pool; unset or 1 runs trials inline.
 """

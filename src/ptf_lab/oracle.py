@@ -97,7 +97,10 @@ class Oracle:
         if order not in self.qset.allowed_orders:
             raise DisallowedOrder(f"order {order} not in query set")
         ans = self._derivs[order].eval_sign(x)
-        self.ledger.record((order,), (1,))
+        ledger = self.ledger
+        ledger.per_order[order] = ledger.per_order.get(order, 0) + 1
+        ledger.total += 1
+        ledger.rounds += 1
         return ans
 
     def query_batch(self, xs: Sequence[Scalar], orders: Sequence[int]) -> np.ndarray:

@@ -13,7 +13,13 @@ with no gcds and no ``Fraction`` objects.  ``eval_sign_many`` gives the
 same signs at many points: float Horner in numpy on the float backend (the
 same operations, in the same order, as ``eval``), and ``eval_sign`` per
 point on the exact backend.  ``eval`` is for values: on the exact backend it
-is ``Fraction`` Horner.
+is ``Fraction`` Horner.  An exact derivative is built on the integers alone
+(i * c_i over the same D); its ``Fraction`` coefficients are made only when
+``coeffs`` is read.
+
+These signs are what the oracle answers.  Ground truth for labels does not
+come from here: ``instances.true_labels`` reads it off the hidden
+polynomial's roots.
 
 Sign convention: sign(0) = +1 everywhere, with no tolerance band.
 """
@@ -51,16 +57,20 @@ def _is_exact(value) -> bool:
     return isinstance(value, Rational)  # int and Fraction, not float
 
 
+_set = object.__setattr__  # bypasses Polynomial.__setattr__, which forbids mutation
+
+
 class Polynomial:
     """Immutable dense polynomial tagged with its numeric backend.
 
     ``coeffs`` has trailing zeros stripped, so the last entry is the leading
     coefficient unless the polynomial is identically zero (empty tuple,
-    degree -1).  An exact polynomial also keeps ``_ints``, the coefficients
-    times their positive lcm denominator, for ``eval_sign``.
+    degree -1).  ``degree`` is the highest index with a nonzero coefficient.
+    An exact polynomial also keeps ``_ints``, the coefficients times their
+    positive lcm denominator ``_den``, for ``eval_sign``.
     """
 
-    __slots__ = ("coeffs", "backend", "_ints")
+    __slots__ = ("coeffs", "backend", "degree", "_ints", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar], backend: str | None = None):
         coeffs = list(coeffs)
@@ -68,7 +78,7 @@ class Polynomial:
             coeffs.pop()
         if backend is None:
             backend = EXACT if all(_is_exact(c) for c in coeffs) else FLOAT
-        ints = None
+        ints = den = None
         if backend == EXACT:
             if not all(_is_exact(c) for c in coeffs):
                 raise BackendMismatch("exact polynomial given non-rational coefficients")
@@ -79,21 +89,19 @@ class Polynomial:
             coeffs = [float(c) for c in coeffs]
         else:
             raise ValueError(f"unknown backend {backend!r}")
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "_ints", ints)
+        coeffs = tuple(coeffs)
+        _set(self, "coeffs", coeffs)
+        _set(self, "backend", backend)
+        _set(self, "degree", len(coeffs) - 1)
+        _set(self, "_ints", ints)
+        _set(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @property
-    def degree(self) -> int:
-        """Highest index with a nonzero coefficient; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def _check_point(self, x):
         if self.backend == EXACT:
-            if not _is_exact(x):
+            if not (type(x) is Fraction or type(x) is int or _is_exact(x)):
                 raise BackendMismatch("exact polynomial evaluated at non-rational point")
             return x
         return float(x)
@@ -135,13 +143,15 @@ class Polynomial:
             raise ValueError("derivative order must be non-negative")
         if order == 0:
             return self
+        if self.backend == EXACT:
+            ints = self._ints
+            for _ in range(order):
+                ints = tuple(i * ints[i] for i in range(1, len(ints)))
+            return _ExactDerivative(ints, self._den)
         coeffs = self.coeffs
         for _ in range(order):
-            if len(coeffs) <= 1:
-                coeffs = ()
-                break
             coeffs = tuple(i * coeffs[i] for i in range(1, len(coeffs)))
-        return Polynomial(coeffs, backend=self.backend)
+        return Polynomial(coeffs, backend=FLOAT)
 
     def __eq__(self, other) -> bool:
         return (
@@ -171,6 +181,32 @@ class Polynomial:
         else:
             coeffs = [float(c) for c in obj["coeffs"]]
         return cls(coeffs, backend=backend)
+
+
+class _ExactDerivative(Polynomial):
+    """An exact derivative, built as the integers i * c_i over the parent's
+    denominator.  Its ``Fraction`` coefficients, which the oracle never reads,
+    are made on first use of ``coeffs``."""
+
+    __slots__ = ()
+
+    def __init__(self, ints: tuple[int, ...], den: int):
+        _set(self, "backend", EXACT)
+        _set(self, "degree", len(ints) - 1)
+        _set(self, "_ints", ints)
+        _set(self, "_den", den)
+
+    @property
+    def coeffs(self) -> tuple:
+        try:
+            return _COEFFS_SLOT.__get__(self)
+        except AttributeError:
+            coeffs = tuple(Fraction(c, self._den) for c in self._ints)
+            _COEFFS_SLOT.__set__(self, coeffs)
+            return coeffs
+
+
+_COEFFS_SLOT = Polynomial.coeffs
 
 
 def from_roots(roots: Sequence[Scalar], leading: int = 1, backend: str | None = None) -> Polynomial:

@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ptf_lab import distributions
 from ptf_lab.distributions import (
     ComputationTooLarge,
     RootModel,
@@ -16,7 +15,7 @@ from ptf_lab.distributions import (
     dirichlet_multinomial_entropy,
     entropy_lower_bound_uniform,
     random_instance,
-    sample_hidden,
+    sample_roots,
     uniform_points,
 )
 from ptf_lab.polynomial import EXACT, from_roots
@@ -54,7 +53,7 @@ class TestRootModels:
 
     def test_exact_dirichlet_gaps_sum_exactly_one(self):
         rng = trial_rng(12)
-        hidden = sample_hidden(RootModel("dirichlet", 3, 1.0), rng, backend=EXACT)
+        hidden = from_roots(sample_roots(RootModel("dirichlet", 3, 1.0), rng, backend=EXACT))
         # prefix-sum roots of exactly-normalized gaps stay inside (0, 1)
         assert hidden.degree == 3
         roots_poly_at_one = hidden.eval(Fraction(1))
@@ -64,9 +63,7 @@ class TestRootModels:
         # with d = 1, alpha = 1 the root is Beta(1,1) = Uniform[0,1]
         rng = trial_rng(13)
         model = RootModel("dirichlet", 1, 1.0)
-        roots = np.array(
-            [-sample_hidden(model, rng).coeffs[0] for _ in range(100_000)]
-        )
+        roots = np.array([sample_roots(model, rng)[0] for _ in range(100_000)])
         assert ks_statistic_uniform(roots) < 0.01
 
     def test_min_gap_matches_stick_breaking_oracle(self):
@@ -104,24 +101,17 @@ class TestRootModels:
     def test_roots_inside_unit_interval(self, kind, alpha, backend):
         rng = trial_rng(17)
         for _ in range(50):
-            hidden = sample_hidden(RootModel(kind, 3, alpha), rng, backend=backend)
+            roots = sample_roots(RootModel(kind, 3, alpha), rng, backend=backend)
+            hidden = from_roots(roots, backend=backend)
             assert hidden.degree == 3
             assert hidden.eval_sign(0 if backend == EXACT else 0.0) == (-1) ** 3
             assert hidden.eval_sign(1 if backend == EXACT else 1.0) == 1
 
-    def test_float_dirichlet_redraws_colliding_roots(self, monkeypatch):
+    def test_float_dirichlet_redraws_colliding_roots(self):
         # at alpha = 0.1 and d = 8, stream 21's first gaps put two float roots
-        # on one value; the roots handed to from_roots must still be distinct
-        seen = []
-
-        def spy(roots, **kw):
-            seen.append(list(roots))
-            return from_roots(roots, **kw)
-
-        monkeypatch.setattr(distributions, "from_roots", spy)
-        hidden = sample_hidden(RootModel("dirichlet", 8, 0.1), Seed(99, 21).rng())
-        (roots,) = seen
-        assert hidden.degree == 8 and len(roots) == 8
+        # on one value; the sampled roots must still be distinct
+        roots = sample_roots(RootModel("dirichlet", 8, 0.1), Seed(99, 21).rng())
+        assert len(roots) == 8 and from_roots(roots).degree == 8
         assert all(0 < a < b < 1 for a, b in zip(roots, roots[1:]))
 
     def test_model_validation(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from ptf_lab import cli, harness
+from ptf_lab.distributions import RootModel, Seed, random_instance
 from ptf_lab.harness import (
     CSV_COLUMNS,
     EntropyFloorViolation,
@@ -18,6 +19,8 @@ from ptf_lab.harness import (
     run,
     verify_lower_bounds,
 )
+from ptf_lab.oracle import Oracle, QuerySet
+from ptf_lab.sample_search import sample_and_search
 
 from util import dkw_radius, ks_statistic_discrete, z_law_cdf_grid, z_law_mean
 
@@ -110,6 +113,39 @@ class TestRun:
         args += ["--trials", "400", "--seed", "99", "--out", str(out)]
         assert cli.main(args) in (0, 1)
         assert len(read_csv(out)) == 400
+
+    def test_float_mislabels_on_clustered_roots_are_incorrect(self):
+        # at Dirichlet(0.1), d = 8 the float oracle's rounded coefficients can
+        # give wrong signs between clustered roots; a row is correct exactly
+        # when the learner's labels match the roots', counted here by brute force
+        d, n, master = 8, 4096, 99
+        result = run(
+            small_config(
+                learner=harness.SAMPLE_SEARCH,
+                model="dirichlet",
+                dirichlet_alpha=0.1,
+                d_values=(d,),
+                n_values=(n,),
+                trials=60,
+                master_seed=master,
+            )
+        )
+        model = RootModel("dirichlet", d, 0.1)
+        mislabelled = 0
+        for row in result.rows:
+            if row["z"] == "":  # DegreeViolation
+                assert not row["correct"]
+                continue
+            rng = Seed(master, row["seed_stream"]).rng()
+            inst = random_instance(n, model, rng)
+            oracle = Oracle(inst.hidden, QuerySet.label_only(d))
+            labels = sample_and_search(inst, oracle, d, rng).labels
+            pts, roots = inst.points[:, None], np.array(inst.roots)[None, :]
+            truth = np.where((pts == roots).any(axis=1), 1, (-1) ** (pts < roots).sum(axis=1))
+            agrees = np.array_equal(labels, truth)
+            assert row["correct"] == agrees, row["seed_stream"]
+            mislabelled += not agrees
+        assert mislabelled >= 1
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg = small_config(trials=6)

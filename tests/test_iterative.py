@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ptf_lab.instances import Instance, true_labels, true_signs
+from ptf_lab.instances import Instance, true_labels
 from ptf_lab.iterative import (
     binary_search_segment,
     learn_all,
@@ -16,7 +16,7 @@ from ptf_lab.iterative import (
 from ptf_lab.oracle import Oracle, QuerySet
 from ptf_lab.polynomial import Polynomial, from_roots
 
-from util import full_oracle, make_instance
+from util import full_oracle, make_instance, true_signs
 
 F = Fraction
 
@@ -36,9 +36,9 @@ class TestPartition:
     def test_cubic_on_equispaced_points(self):
         # hidden (x-1/4)(x-1/2)(x-3/4); the sign vectors of its first and
         # second derivatives at k/9 split 8 points into 4 segments
-        hidden = from_roots([F(1, 4), F(1, 2), F(3, 4)])
+        roots = (F(1, 4), F(1, 2), F(3, 4))
         points = [F(k, 9) for k in range(1, 9)]
-        inst = Instance(points=tuple(points), hidden=hidden, d=3)
+        inst = Instance(points=tuple(points), hidden=from_roots(roots), d=3, roots=roots)
         higher = [true_signs(inst, 1), true_signs(inst, 2)]
         segs = partition_fixed_pattern(points, higher)
         assert segs == [(0, 2), (3, 3), (4, 4), (5, 7)]
@@ -48,7 +48,7 @@ class TestPartition:
 class TestBinarySearchSegment:
     def test_flip_located_with_few_queries(self):
         # first derivative of x^2 - 3x + 2 is 2x - 3: negative then positive
-        inst = Instance(points=(1, 2, 3, 4), hidden=Polynomial([2, -3, 1]), d=2)
+        inst = Instance(points=(1, 2, 3, 4), hidden=Polynomial([2, -3, 1]), d=2, roots=(1, 2))
         oracle = full_oracle(inst)
         signs = binary_search_segment(inst.points, (0, 3), 1, oracle)
         assert list(signs) == [-1, 1, 1, 1]
@@ -56,21 +56,21 @@ class TestBinarySearchSegment:
         assert oracle.ledger.total <= 2 + 2  # stated budget: 2 + ceil(log2 3)
 
     def test_equal_endpoints_cost_two(self):
-        inst = Instance(points=(3, 4, 5, 6, 7), hidden=Polynomial([2, -3, 1]), d=2)
+        inst = Instance(points=(3, 4, 5, 6, 7), hidden=Polynomial([2, -3, 1]), d=2, roots=(1, 2))
         oracle = full_oracle(inst)
         signs = binary_search_segment(inst.points, (0, 4), 0, oracle)
         assert list(signs) == [1] * 5
         assert oracle.ledger.total == 2
 
     def test_single_point_costs_one(self):
-        inst = Instance(points=(3,), hidden=Polynomial([2, -3, 1]), d=2)
+        inst = Instance(points=(3,), hidden=Polynomial([2, -3, 1]), d=2, roots=(1, 2))
         oracle = full_oracle(inst)
         signs = binary_search_segment(inst.points, (0, 0), 0, oracle)
         assert list(signs) == [1]
         assert oracle.ledger.total == 1
 
     def test_memo_prevents_requery(self):
-        inst = Instance(points=(1, 2, 3, 4), hidden=Polynomial([2, -3, 1]), d=2)
+        inst = Instance(points=(1, 2, 3, 4), hidden=Polynomial([2, -3, 1]), d=2, roots=(1, 2))
         oracle = full_oracle(inst)
         memo = {}
         binary_search_segment(inst.points, (0, 3), 1, oracle, memo)
@@ -90,7 +90,7 @@ class TestLearnAll:
     def test_quadratic_fixed_roots(self):
         rng = np.random.default_rng(5)
         points = np.sort(rng.random(1024))
-        inst = Instance(points=points, hidden=from_roots([0.3, 0.7]), d=2)
+        inst = Instance(points=points, hidden=from_roots([0.3, 0.7]), d=2, roots=(0.3, 0.7))
         oracle = full_oracle(inst)
         res = learn_all(inst, oracle)
         assert np.array_equal(res.labels, true_labels(inst))

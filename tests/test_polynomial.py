@@ -133,6 +133,8 @@ class TestBackends:
             Polynomial([F(1, 3), 1]).eval_sign(0.5)
         with pytest.raises(BackendMismatch):
             Polynomial([]).eval_sign(0.5)
+        with pytest.raises(BackendMismatch):
+            Polynomial([F(1, 3), 1, 1]).derivative().eval_sign(0.5)
 
     def test_exact_rejects_float_coeff(self):
         with pytest.raises(BackendMismatch):
@@ -176,6 +178,25 @@ def test_derivative_is_linear(a, b, order):
     lhs = Polynomial(added(a, b)).derivative(order)
     rhs = Polynomial(added(pa.derivative(order).coeffs, pb.derivative(order).coeffs))
     assert lhs == rhs
+
+
+@given(
+    coeffs=st.lists(st.one_of(coeff_fractions, st.integers(-9, 9)), max_size=7),
+    order=st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_integer_derivative_matches_fraction_rule(coeffs, order):
+    # the derivative is built on integers; callers see the Fraction rule's result
+    ref = list(coeffs)
+    for _ in range(order):
+        ref = [i * ref[i] for i in range(1, len(ref))]
+    expected = Polynomial(ref, backend=EXACT)
+    got = Polynomial(coeffs, backend=EXACT).derivative(order)
+    assert got.degree == expected.degree
+    assert got.coeffs == expected.coeffs
+    assert got == expected and hash(got) == hash(expected)
+    assert got.to_json() == expected.to_json()
+    assert got.derivative() == expected.derivative()
 
 
 @given(

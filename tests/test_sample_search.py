@@ -20,7 +20,7 @@ class TestSampleAndSearch:
         # hidden strictly positive on the sample: no flip can ever appear
         rng = trial_rng(1)
         points = np.sort(rng.random(50))
-        inst = Instance(points=points, hidden=Polynomial([1.0, 0.0, 1.0]), d=2)
+        inst = Instance(points=points, hidden=Polynomial([1.0, 0.0, 1.0]), d=2, roots=())
         oracle = label_oracle(inst)
         res = sample_and_search(inst, oracle, 0, trial_rng(2))
         assert res.case == "a"
@@ -29,7 +29,7 @@ class TestSampleAndSearch:
         assert np.array_equal(res.labels, true_labels(inst))
 
     def test_two_points_one_root(self):
-        inst = Instance(points=np.array([0.1, 0.9]), hidden=from_roots([0.5]), d=1)
+        inst = Instance(points=np.array([0.1, 0.9]), hidden=from_roots([0.5]), d=1, roots=(0.5,))
         oracle = label_oracle(inst)
         res = sample_and_search(inst, oracle, 1, trial_rng(3))
         assert res.case == "b"
@@ -61,6 +61,7 @@ class TestSampleAndSearch:
             points=np.array([0.1, 0.2, 0.8, 0.9]),
             hidden=from_roots([0.4, 0.6]),
             d=2,
+            roots=(0.4, 0.6),
         )
         oracle = label_oracle(inst)
         res = sample_and_search(inst, oracle, 2, trial_rng(4))
@@ -76,6 +77,7 @@ class TestSampleAndSearch:
             points=np.array([0.1, 0.5, 0.9]),
             hidden=from_roots([0.3, 0.7]),
             d=2,
+            roots=(0.3, 0.7),
         )
         oracle = label_oracle(inst)
         with pytest.raises(DegreeViolation):

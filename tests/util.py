@@ -108,3 +108,8 @@ def restricted_infer(queried, targets) -> list[tuple[int, int]]:
         if 0 < pos < len(xs) and xs[pos] != t and patterns[pos - 1] == patterns[pos]:
             out.append((idx, patterns[pos - 1][0]))
     return out
+
+
+def true_signs(instance: Instance, order: int = 0) -> np.ndarray:
+    """Signs of the hidden polynomial's order-th derivative at all points."""
+    return instance.hidden.derivative(order).eval_sign_many(instance.points)
