@@ -3,8 +3,6 @@ functions, with derivative-sign oracles, three learners, random-instance
 distributions, and exact non-inferability witnesses."""
 
 from .polynomial import (
-    EXACT,
-    FLOAT,
     DuplicateRoots,
     Polynomial,
     from_roots,
@@ -13,7 +11,7 @@ from .polynomial import (
 )
 from .oracle import DisallowedOrder, Oracle, QueryLedger, QuerySet
 from .instances import Instance, true_labels
-from .distributions import RootModel, Seed, random_instance, uniform_points
+from .distributions import EXACT, FLOAT, RootModel, Seed, random_instance, uniform_points
 
 __version__ = "0.1.0"
 

@@ -11,7 +11,6 @@ an explicit inconclusive zone instead (its points are transcendental).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -20,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .batch import infer_labels
-from .polynomial import EXACT, Polynomial, from_roots, sign_pattern
+from .polynomial import Polynomial, from_roots, sign_pattern
 
 DEFAULT_BIT_BUDGET = 2**20
 
@@ -56,46 +55,6 @@ class Witness:
     query_orders: frozenset[int]
     d: int
     meta: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        def scalar(v):
-            f = Fraction(v)
-            return f"{f.numerator}/{f.denominator}"
-
-        return {
-            "d": self.d,
-            "points": [scalar(x) for x in self.points],
-            "base": self.base.to_json(),
-            "alternatives": [
-                {"flips": i, "poly": p.to_json()} for i, p in self.alternatives
-            ],
-            "query_orders": sorted(self.query_orders),
-            "meta": self.meta,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Witness":
-        def scalar(s):
-            f = Fraction(s)
-            return f.numerator if f.denominator == 1 else f
-
-        return cls(
-            points=tuple(scalar(s) for s in obj["points"]),
-            base=Polynomial.from_json(obj["base"]),
-            alternatives=tuple(
-                (a["flips"], Polynomial.from_json(a["poly"])) for a in obj["alternatives"]
-            ),
-            query_orders=frozenset(obj["query_orders"]),
-            d=obj["d"],
-            meta=obj.get("meta", {}),
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=1)
-
-    @classmethod
-    def loads(cls, text: str) -> "Witness":
-        return cls.from_json(json.loads(text))
 
 
 def verify_witness(w: Witness) -> None:
@@ -154,7 +113,7 @@ def interval_witness(n: int) -> Witness:
     base = Polynomial([0, 0, 1])
     quarter = Fraction(1, 4)
     alternatives = tuple(
-        (i, from_roots([i + 1 - quarter, i + 1 + quarter], backend=EXACT))
+        (i, from_roots([i + 1 - quarter, i + 1 + quarter]))
         for i in range(n)
     )
     return Witness(
@@ -211,12 +170,12 @@ def missing_derivative_witness(d: int, n: int, bit_budget: int = DEFAULT_BIT_BUD
 
 def linear_witness_at(d: int, roots: Sequence[Fraction], eps: Fraction) -> Witness:
     """The size-d witness at an explicit eps, without verification."""
-    base = from_roots(roots, backend=EXACT)
+    base = from_roots(roots)
     points = tuple(r + eps for r in roots)
     alternatives = []
     for i, r in enumerate(roots):
         others = [q for q in roots if q != r]
-        alt = from_roots(others + [r + 2 * eps], backend=EXACT)
+        alt = from_roots(others + [r + 2 * eps])
         alternatives.append((i, alt))
     return Witness(
         points=points,

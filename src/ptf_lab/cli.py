@@ -14,8 +14,7 @@ import json
 import sys
 
 from . import harness
-from .distributions import DIRICHLET, UNIFORM
-from .polynomial import EXACT, FLOAT
+from .distributions import DIRICHLET, EXACT, FLOAT, UNIFORM
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -41,7 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--dirichlet-alpha", type=float, default=1.0)
     p_run.add_argument("--trials", type=int, default=100)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--backend", choices=[EXACT, FLOAT], default=FLOAT)
+    p_run.add_argument("--backend", choices=[EXACT, FLOAT], default=FLOAT,
+                       help="how roots and points are drawn: exact (rational roots, points on "
+                       "the 2^-53 grid) or float (float64 roots and points); signs are "
+                       "exact either way")
     p_run.add_argument("--random-leading", action="store_true",
                        help="flip the hidden leading sign with probability 1/2")
     p_run.add_argument("--out", default=None, help="CSV output path (JSON sidecar alongside)")
@@ -104,7 +106,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "compare-entropy":
-        report = harness.compare_entropy(args.results, strict=False)
+        report = harness.compare_entropy(args.results)
         bad = [r for r in report if not r["ok"]]
         for entry in report:
             print(json.dumps(entry))

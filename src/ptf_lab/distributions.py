@@ -4,9 +4,17 @@ Two root models are supported: d i.i.d. uniform roots on [0,1], and roots
 whose d+1 inter-root gaps follow a symmetric Dirichlet(alpha) (sampled as
 normalized Gamma(alpha, 1) draws).  Points are i.i.d. uniform on [0,1].
 
-Exact-backend sampling draws the same floating-point randomness and then
-converts each draw to a Fraction, so downstream arithmetic is exact while
-the distribution matches the float path to within float64 resolution.
+The draw mode (``EXACT`` or ``FLOAT``, the harness's ``backend``) picks how
+roots and points are drawn; it does not change how signs are evaluated.
+
+- ``FLOAT``: float64 roots and points from ``rng.random`` and the
+  normalized gaps, so the hidden polynomial has the float coefficients of a
+  float64 expansion.
+- ``EXACT``: roots are ``Fraction``s -- uniform roots on the 2^-53 grid,
+  Dirichlet roots as prefix sums of the float gaps renormalized to sum to 1
+  exactly -- so the hidden polynomial has exact rational coefficients.
+  Points are uniform on the 2^-53 grid as well, drawn as integers v and
+  stored as the float64 values v / 2^53, which are exact.
 """
 
 from __future__ import annotations
@@ -20,10 +28,13 @@ from typing import Optional
 import numpy as np
 
 from .instances import Instance
-from .polynomial import EXACT, FLOAT, from_roots
+from .polynomial import from_roots
 
 UNIFORM = "uniform"
 DIRICHLET = "dirichlet"
+
+EXACT = "exact"
+FLOAT = "float"
 
 _DYADIC = 2**53
 
@@ -63,8 +74,8 @@ class RootModel:
                 raise ValueError("dirichlet model needs alpha > 0")
 
 
-def _exact_unit_draws(k: int, rng: np.random.Generator, open_interval: bool = False) -> list[Fraction]:
-    """k distinct dyadic rationals in [0, 1), uniform over the 2^53 grid, sorted.
+def _exact_unit_draws(k: int, rng: np.random.Generator, open_interval: bool = False) -> list[int]:
+    """k distinct integers v in [0, 2^53), sorted: v / 2^53 is uniform over the grid.
 
     With open_interval the value 0 is rejected as well (roots must stay
     strictly inside (0, 1)).
@@ -75,15 +86,15 @@ def _exact_unit_draws(k: int, rng: np.random.Generator, open_interval: bool = Fa
             if open_interval and v == 0:
                 continue
             seen.add(int(v))
-    return [Fraction(v, _DYADIC) for v in sorted(seen)]
+    return sorted(seen)
 
 
-def uniform_points(n: int, rng: np.random.Generator, backend: str = FLOAT):
+def uniform_points(n: int, rng: np.random.Generator, backend: str = FLOAT) -> np.ndarray:
     """n sorted i.i.d. Uniform[0,1] draws, de-duplicated by resampling."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if backend == EXACT:
-        return tuple(_exact_unit_draws(n, rng))
+        return np.array(_exact_unit_draws(n, rng), dtype=np.float64) / _DYADIC  # exact
     pts = rng.random(n)
     pts = np.unique(pts)  # sorts; exact float collisions are resampled
     while len(pts) < n:
@@ -103,15 +114,15 @@ def sample_roots(model: RootModel, rng: np.random.Generator, backend: str = FLOA
     """Sample d sorted, distinct roots with the model's distribution.
 
     Uniform: d i.i.d. U[0,1] roots.  Dirichlet: roots are prefix sums of the
-    d+1 sampled gaps; on the float backend, gaps whose prefix sums repeat a
-    root or round one to 0 or 1 are drawn again.  All roots land strictly
-    inside (0,1); they are Fractions on the exact backend and floats on the
-    float backend.
+    d+1 sampled gaps; in the float draw mode, gaps whose prefix sums repeat
+    a root or round one to 0 or 1 are drawn again.  All roots land strictly
+    inside (0,1); they are Fractions in the exact draw mode and floats in
+    the float draw mode.
     """
     d = model.d
     if model.kind == UNIFORM:
         if backend == EXACT:
-            roots = _exact_unit_draws(d, rng, open_interval=True)
+            roots = [Fraction(v, _DYADIC) for v in _exact_unit_draws(d, rng, open_interval=True)]
         else:
             roots = np.sort(rng.random(d))
             while len(np.unique(roots)) < d or roots[0] == 0.0:
@@ -143,27 +154,16 @@ def random_instance(
     """Draw the leading sign, then the roots, then the points, in that order."""
     leading = int(rng.choice([-1, 1])) if random_leading else 1
     roots = sample_roots(model, rng, backend=backend)
-    hidden = from_roots(roots, leading=leading, backend=backend)
+    hidden = from_roots(roots, leading=leading)
     points = uniform_points(n, rng, backend=backend)
     return Instance(points=points, hidden=hidden, d=model.d, roots=roots)
 
 
-def _log2_big(value: int) -> float:
-    """log2 of an arbitrarily large positive integer, accurate to ~1e-15."""
-    bl = value.bit_length()
-    if bl <= 53:
-        return math.log2(value)
-    shift = bl - 53
-    return math.log2(value >> shift) + shift
-
-
-def entropy_lower_bound_uniform(n: int, d: int, exact: bool = False) -> float:
+def entropy_lower_bound_uniform(n: int, d: int) -> float:
     """log2 C(n+d, d): bits needed to pin down which of the equally likely
     labelings occurred when points and roots are exchangeable uniforms."""
     if n < 1 or d < 1:
         raise ValueError("n and d must be at least 1")
-    if exact:
-        return _log2_big(math.comb(n + d, d))
     lg = math.lgamma
     return (lg(n + d + 1) - lg(d + 1) - lg(n + 1)) / math.log(2)
 

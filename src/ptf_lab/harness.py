@@ -2,9 +2,12 @@
 
 Every trial draws its own RNG stream from the master seed (stream index =
 cell_index * trials + trial_index), runs one learner on one fresh random
-instance, and yields one CSV row.  The row's ``correct`` says whether every
-label equals the ground truth that ``instances.true_labels`` reads off the
-instance's roots, which shares no code with the oracle's sign evaluation.
+instance, and yields one CSV row.  ``backend`` names the draw mode
+(``distributions.EXACT`` or ``FLOAT``), which picks how the instance's roots
+and points are drawn; signs are evaluated exactly in either mode.  The row's
+``correct`` says whether every label equals the ground truth that
+``instances.true_labels`` reads off the instance's roots, which shares no
+code with the oracle's sign evaluation.
 Aggregates per sweep cell go to a JSON sidecar that entropy comparison
 consumes.
 
@@ -29,6 +32,8 @@ import numpy as np
 from . import adversarial, batch, iterative, sample_search
 from .distributions import (
     DIRICHLET,
+    EXACT,
+    FLOAT,
     UNIFORM,
     RootModel,
     Seed,
@@ -40,7 +45,6 @@ from .distributions import (
 )
 from .instances import true_labels
 from .oracle import Oracle, QuerySet
-from .polynomial import FLOAT
 
 ITERATIVE = "iterative"
 BATCH = "batch"
@@ -68,10 +72,6 @@ CSV_COLUMNS = [
 ]
 
 
-class EntropyFloorViolation(AssertionError):
-    """Some average-case cell's mean query count fell below its entropy floor."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     learner: str
@@ -79,7 +79,7 @@ class ExperimentConfig:
     n_values: tuple[int, ...]
     trials: int
     master_seed: int
-    backend: str = FLOAT
+    backend: str = FLOAT  # draw mode of roots and points
     alphas: tuple[float, ...] = ()  # batch learner only
     model: str = UNIFORM  # sample_search only
     dirichlet_alpha: float = 1.0
@@ -89,6 +89,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.learner not in (ITERATIVE, BATCH, SAMPLE_SEARCH):
             raise ValueError(f"unknown learner {self.learner!r}")
+        if self.backend not in (EXACT, FLOAT):
+            raise ValueError(f"unknown backend {self.backend!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.d_values or not self.n_values:
@@ -311,16 +313,16 @@ def verify_lower_bounds(
     return report
 
 
-def compare_entropy(paths: Sequence[str | Path], strict: bool = True) -> list[dict]:
+def compare_entropy(paths: Sequence[str | Path]) -> list[dict]:
     """Check mean query counts of average-case runs against entropy floors.
 
     Every cell must clear log2 C(n+d, d) minus 3 standard errors.  Dirichlet
     cells are also checked against the exact count-distribution entropy when
     the summation is feasible, and against the (d-1) log2 n surrogate
-    (flagged) otherwise.
+    (flagged) otherwise.  Each report entry's ``ok`` says whether the cell
+    cleared every floor.
     """
     report = []
-    violations = []
     for path in paths:
         agg = json.loads(Path(path).read_text())
         if agg["config"]["learner"] != SAMPLE_SEARCH:
@@ -349,11 +351,6 @@ def compare_entropy(paths: Sequence[str | Path], strict: bool = True) -> list[di
                 "ok": ok,
             }
             report.append(rec)
-            if not ok:
-                violations.append(rec)
-    if violations and strict:
-        lines = ", ".join(f"(d={v['d']}, n={v['n']}, model={v['model']})" for v in violations)
-        raise EntropyFloorViolation(f"cells below entropy floor: {lines}")
     return report
 
 

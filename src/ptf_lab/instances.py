@@ -1,32 +1,36 @@
 """Labeled-sample instances: a sorted point set, the hidden classifier and its roots.
 
+The points are a strictly increasing float64 array; both draw modes make
+such points.  A point given in another type must be a value float64 holds
+exactly: one that would be rounded is rejected.
+
 The hidden polynomial is what the oracle answers about; learners reach it
 only through an Oracle.  Ground truth comes from the roots instead.  The
 hidden polynomial is lead * prod(x - r) over its listed roots r, times a
 factor that is positive at every sample point (1 for every instance the
 library draws), so its label at x is lead * (-1)**#{roots > x}, and +1 on a
-root (sign(0) = +1).  ``true_labels`` finds each root's place among the
-points by bisection and never evaluates the polynomial, so it shares no code
-with the oracle's sign evaluation.
+root (sign(0) = +1).  Roots keep their own type (exact Dirichlet roots are
+``Fraction``s off the float grid).  ``true_labels`` places each root among
+the points with ``np.searchsorted`` on the root's nearest float, then
+compares the one point that can equal that float with the root exactly.  It
+never evaluates the polynomial, so it shares no code with the oracle's sign
+evaluation.
 """
 
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Union
+from fractions import Fraction
 
 import numpy as np
 
 from .polynomial import Polynomial
 
-Points = Union[np.ndarray, tuple]
-
 
 @dataclass(frozen=True)
 class Instance:
-    points: Points  # strictly increasing; ndarray (float) or tuple of Fraction (exact)
+    points: np.ndarray  # strictly increasing float64
     hidden: Polynomial
     d: int
     roots: tuple  # strictly increasing real roots where hidden changes sign
@@ -36,16 +40,15 @@ class Instance:
         if degree > self.d:
             raise ValueError("hidden degree exceeds the instance degree bound")
         pts = self.points
-        if isinstance(pts, np.ndarray):
-            if not np.all(pts[1:] > pts[:-1]):
-                raise ValueError("points must be strictly increasing")
-            roots = tuple(map(float, self.roots))
-        else:
-            pts = tuple(pts)
+        if not (isinstance(pts, np.ndarray) and pts.dtype == np.float64):
+            given = list(pts)
+            pts = np.array([float(p) for p in given], dtype=np.float64)
+            if any(Fraction(f) != p for f, p in zip(pts.tolist(), given)):
+                raise ValueError("points must be float64 values; one would be rounded")
             object.__setattr__(self, "points", pts)
-            if not all(map(operator.lt, pts, pts[1:])):
-                raise ValueError("points must be strictly increasing")
-            roots = tuple(self.roots)
+        if not (np.all(np.isfinite(pts)) and np.all(pts[1:] > pts[:-1])):
+            raise ValueError("points must be finite and strictly increasing")
+        roots = tuple(self.roots)
         object.__setattr__(self, "roots", roots)
         if not all(map(operator.lt, roots, roots[1:])):
             raise ValueError("roots must be strictly increasing")
@@ -66,12 +69,18 @@ def true_labels(instance: Instance) -> np.ndarray:
     flips the sign, and points on a root get +1.
     """
     pts, roots = instance.points, instance.roots
-    if isinstance(pts, np.ndarray):
-        below = np.searchsorted(pts, roots, side="left").tolist()
-        upto = np.searchsorted(pts, roots, side="right").tolist()
-    else:
-        below = [bisect_left(pts, r) for r in roots]
-        upto = [bisect_right(pts, r) for r in roots]
+    # float(r) is the float nearest r, so a point equal to float(r) is the
+    # only one that can lie on another side of r than of float(r)
+    keys = np.array([float(r) for r in roots])
+    below = np.searchsorted(pts, keys, side="left").tolist()
+    upto = np.searchsorted(pts, keys, side="right").tolist()
+    for i, r in enumerate(roots):
+        if upto[i] > below[i]:  # pts[below[i]] == float(r); place it exactly
+            p = float(pts[below[i]])
+            if p < r:
+                below[i] = upto[i]
+            elif p > r:
+                upto[i] = below[i]
     coeffs = instance.hidden.coeffs
     sign = -1 if coeffs and coeffs[-1] < 0 else 1
     if len(roots) % 2:

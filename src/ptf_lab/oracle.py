@@ -83,8 +83,8 @@ class Oracle:
             raise ValueError("hidden polynomial degree exceeds the ambient bound")
         self.qset = qset
         self.ledger = QueryLedger()
-        derivs = [hidden]
-        for _ in range(qset.d):
+        derivs = [hidden]  # orders 0..max allowed; a label-only oracle builds none
+        for _ in range(max(qset.allowed_orders)):
             derivs.append(derivs[-1].derivative())
         self._derivs = derivs
 

@@ -1,21 +1,46 @@
-"""Dense univariate polynomials over two numeric backends.
+"""Dense univariate polynomials with rational coefficients and one certified sign kernel.
 
-A polynomial is a coefficient vector (index i = coefficient of x**i) over
-either exact rationals (``fractions.Fraction`` / ``int``) or float64.  The
-exact backend never rounds, which is what the adversarial constructions and
-small-scale ground-truth checks need; the float backend is for large sweeps.
+A polynomial is a coefficient vector (index i = coefficient of x**i).  Every
+coefficient -- an int, ``Fraction``, float or numpy integer -- is read as the
+exact rational it denotes, and ``coeffs`` keeps them as given.  At
+construction a polynomial also stores
 
-Exact signs come from one integer kernel.  At construction an exact
-polynomial also stores its coefficients as integers c_i over their positive
-lcm denominator D.  ``eval_sign`` at x = a/b (b > 0) returns the sign of
-sum(c_i a**i b**(deg-i)) = D * b**deg * p(x), computed by integer Horner
-with no gcds and no ``Fraction`` objects.  ``eval_sign_many`` gives the
-same signs at many points: float Horner in numpy on the float backend (the
-same operations, in the same order, as ``eval``), and ``eval_sign`` per
-point on the exact backend.  ``eval`` is for values: on the exact backend it
-is ``Fraction`` Horner.  An exact derivative is built on the integers alone
-(i * c_i over the same D); its ``Fraction`` coefficients are made only when
-``coeffs`` is read.
+- ``_ints``: the coefficients as integers c_i over their positive lcm
+  denominator ``_den``;
+- ``_floats``: each c_i / den correctly rounded to float64;
+- ``_bound``: an a priori bound on |fl(p^(x)) - p(x)| for float points
+  |x| <= 1, where fl(p^(x)) is float64 Horner on ``_floats`` (no fused
+  multiply-add).
+
+``_bound`` covers three errors.  With u = 2^-53, eta = 2^-1075 (the largest
+error of a product that underflows; float sums never err by underflow) and
+S = sum |c^_i|:
+
+- rounding the coefficients: |c_i - c^_i| <= u |c^_i| + eta, so p and p^
+  differ by at most u S + (d + 1) eta;
+- Horner on p^: at most gamma_2d S, gamma_k = k u / (1 - k u) (Higham,
+  *Accuracy and Stability of Numerical Algorithms*, 2nd ed., eq. 5.3, with
+  sum |c^_i| |x|^i <= S for |x| <= 1);
+- underflow in Horner's d products: at most d eta (1 + gamma_2d) <= 2 d eta,
+  since each such error is only scaled by later factors |x| <= 1.
+
+The stored bound is 2 (gamma_2d + u) S + (3 d + 2) 2^-1074; the factor 2
+absorbs the rounding of this float computation.  A polynomial whose S is
+above 2^1000 or whose float copy overflows gets an infinite bound, so its
+float Horner (which could overflow) never decides a sign.
+
+Sign evaluation is one kernel, a float filter in front of integer Horner
+(the adaptive-predicate pattern of Shewchuk, 1997).  ``eval_sign`` and
+``eval_sign_many`` return the sign of the float Horner value at a float
+point with |x| <= 1 when that value's magnitude exceeds ``_bound``; the true
+value then has the same sign.  Every other point -- uncertified, |x| > 1, or
+not a float (huge ints, ``Fraction``) -- gets integer Horner: at x = a/b
+(b > 0) the sign of sum(c_i a**i b**(deg-i)) = D * b**deg * p(x).  NaN and
+infinite points and coefficients raise (ValueError and OverflowError, from
+``as_integer_ratio``); they get no sign.
+
+A derivative is built on the integers alone (i * c_i over the same D); its
+``Fraction`` coefficients are made only when ``coeffs`` is read.
 
 These signs are what the oracle answers.  Ground truth for labels does not
 come from here: ``instances.true_labels`` reads it off the hidden
@@ -33,19 +58,16 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-EXACT = "exact"
-FLOAT = "float"
-
 Scalar = Union[int, Fraction, float]
 SignPattern = tuple[int, ...]
+
+_U = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-1074  # smallest subnormal, twice the underflow error eta
+_MAX_SUM = 2.0**1000  # above this, float Horner could overflow
 
 
 class DuplicateRoots(ValueError):
     """Raised when a root list contains a repeated value."""
-
-
-class BackendMismatch(TypeError):
-    """Raised when exact and float values would silently mix."""
 
 
 def sign_of(value) -> int:
@@ -53,89 +75,94 @@ def sign_of(value) -> int:
     return -1 if value < 0 else 1
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, Rational)  # int and Fraction, not float
+def _ratio(v) -> tuple[int, int]:
+    """(a, b) with v = a / b and b > 0; raises on NaN and infinities."""
+    try:
+        return v.as_integer_ratio()  # int, Fraction, float and numpy floats
+    except AttributeError:  # numpy integers
+        return int(v.numerator), int(v.denominator)
 
 
 _set = object.__setattr__  # bypasses Polynomial.__setattr__, which forbids mutation
 
 
 class Polynomial:
-    """Immutable dense polynomial tagged with its numeric backend.
+    """Immutable dense polynomial with exact rational coefficients.
 
     ``coeffs`` has trailing zeros stripped, so the last entry is the leading
     coefficient unless the polynomial is identically zero (empty tuple,
     degree -1).  ``degree`` is the highest index with a nonzero coefficient.
-    An exact polynomial also keeps ``_ints``, the coefficients times their
-    positive lcm denominator ``_den``, for ``eval_sign``.
     """
 
-    __slots__ = ("coeffs", "backend", "degree", "_ints", "_den")
+    __slots__ = ("coeffs", "degree", "_ints", "_den", "_floats", "_bound")
 
-    def __init__(self, coeffs: Iterable[Scalar], backend: str | None = None):
+    def __init__(self, coeffs: Iterable[Scalar]):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        if backend is None:
-            backend = EXACT if all(_is_exact(c) for c in coeffs) else FLOAT
-        ints = den = None
-        if backend == EXACT:
-            if not all(_is_exact(c) for c in coeffs):
-                raise BackendMismatch("exact polynomial given non-rational coefficients")
-            # int() keeps numpy integers from wrapping in the Horner products
-            den = math.lcm(*(int(c.denominator) for c in coeffs))
-            ints = tuple(int(c.numerator) * (den // int(c.denominator)) for c in coeffs)
-        elif backend == FLOAT:
-            coeffs = [float(c) for c in coeffs]
-        else:
-            raise ValueError(f"unknown backend {backend!r}")
-        coeffs = tuple(coeffs)
-        _set(self, "coeffs", coeffs)
-        _set(self, "backend", backend)
-        _set(self, "degree", len(coeffs) - 1)
+        ratios = [_ratio(c) for c in coeffs]
+        den = math.lcm(*(b for _, b in ratios))
+        _set(self, "coeffs", tuple(coeffs))
+        self._set_exact(tuple(a * (den // b) for a, b in ratios), den)
+
+    def _set_exact(self, ints: tuple[int, ...], den: int) -> None:
+        """Store the integer coefficients, their float copy and its error bound."""
         _set(self, "_ints", ints)
         _set(self, "_den", den)
+        try:
+            floats = tuple(c / den for c in ints)  # int / int rounds correctly
+            total = math.fsum(map(abs, floats))
+        except OverflowError:
+            floats, total = (), math.inf
+        deg = len(ints) - 1
+        if not ints:
+            bound = -1.0  # the zero polynomial's Horner value 0.0 is exact
+        elif total <= _MAX_SUM:
+            gamma = 2 * deg * _U / (1 - 2 * deg * _U)
+            bound = 2 * (gamma + _U) * total + (3 * deg + 2) * _TINY
+        else:
+            bound = math.inf
+        _set(self, "degree", deg)
+        _set(self, "_floats", floats)
+        _set(self, "_bound", bound)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    def _check_point(self, x):
-        if self.backend == EXACT:
-            if not (type(x) is Fraction or type(x) is int or _is_exact(x)):
-                raise BackendMismatch("exact polynomial evaluated at non-rational point")
-            return x
-        return float(x)
-
-    def eval(self, x: Scalar):
-        """Horner evaluation of p(x) in the polynomial's own backend."""
-        x = self._check_point(x)
-        acc = 0 if self.backend == EXACT else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def eval_sign(self, x: Scalar) -> int:
-        """Sign of p(x); exact polynomials use integer Horner on ``_ints``."""
-        if self.backend == FLOAT:
-            return sign_of(self.eval(x))
-        x = self._check_point(x)
+    def _exact_sign(self, x) -> int:
+        """Sign of p(x) by integer Horner on ``_ints``."""
+        a, b = _ratio(x)
         ints = self._ints
         if not ints:
             return 1
-        a, b = int(x.numerator), int(x.denominator)
         acc, bpow = ints[-1], 1
         for c in ints[-2::-1]:
             bpow *= b
             acc = acc * a + c * bpow
         return sign_of(acc)
 
+    def eval_sign(self, x: Scalar) -> int:
+        """Exact sign of p(x), sign(0) = +1: certified float Horner, else integer Horner."""
+        if isinstance(x, float) and -1.0 <= x <= 1.0:
+            x = float(x)  # numpy scalars make Python arithmetic slow
+            acc = 0.0
+            for c in reversed(self._floats):
+                acc = acc * x + c
+            if abs(acc) > self._bound:
+                return -1 if acc < 0 else 1
+        return self._exact_sign(x)
+
     def eval_sign_many(self, xs: Sequence[Scalar]) -> np.ndarray:
         """``eval_sign`` at every point of xs, as an int8 array."""
-        if self.backend == FLOAT:
-            xs = np.asarray(xs, dtype=np.float64)
-            vals = np.polynomial.polynomial.polyval(xs, self.coeffs or (0.0,))
-            return np.where(vals < 0, -1, 1).astype(np.int8)
-        return np.fromiter((self.eval_sign(x) for x in xs), dtype=np.int8, count=len(xs))
+        xs = np.asarray(xs)
+        # the filter runs on float arrays inside [-1, 1] (NaN fails the test)
+        if xs.dtype != np.float64 or not (xs.size and -1.0 <= xs.min() and xs.max() <= 1.0):
+            return np.fromiter(map(self.eval_sign, xs.tolist()), dtype=np.int8, count=xs.size)
+        vals = np.polynomial.polynomial.polyval(xs, self._floats or (0.0,))
+        signs = np.where(vals < 0, -1, 1).astype(np.int8)
+        for i in np.flatnonzero(np.abs(vals) <= self._bound).tolist():
+            signs[i] = self._exact_sign(float(xs[i]))
+        return signs
 
     def derivative(self, order: int = 1) -> "Polynomial":
         """Formal derivative applied ``order`` times (order 0 returns self)."""
@@ -143,58 +170,30 @@ class Polynomial:
             raise ValueError("derivative order must be non-negative")
         if order == 0:
             return self
-        if self.backend == EXACT:
-            ints = self._ints
-            for _ in range(order):
-                ints = tuple(i * ints[i] for i in range(1, len(ints)))
-            return _ExactDerivative(ints, self._den)
-        coeffs = self.coeffs
+        ints = self._ints
         for _ in range(order):
-            coeffs = tuple(i * coeffs[i] for i in range(1, len(coeffs)))
-        return Polynomial(coeffs, backend=FLOAT)
+            ints = tuple(i * ints[i] for i in range(1, len(ints)))
+        return _ExactDerivative(ints, self._den)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.backend == other.backend
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.backend, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r}, backend={self.backend!r})"
-
-    def to_json(self) -> dict:
-        if self.backend == EXACT:
-            coeffs = [f"{Fraction(c).numerator}/{Fraction(c).denominator}" for c in self.coeffs]
-        else:
-            coeffs = list(self.coeffs)
-        return {"coeffs": coeffs, "backend": self.backend}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Polynomial":
-        backend = obj["backend"]
-        if backend == EXACT:
-            coeffs = [Fraction(c) for c in obj["coeffs"]]
-        else:
-            coeffs = [float(c) for c in obj["coeffs"]]
-        return cls(coeffs, backend=backend)
+        return f"Polynomial({list(self.coeffs)!r})"
 
 
 class _ExactDerivative(Polynomial):
-    """An exact derivative, built as the integers i * c_i over the parent's
+    """A derivative, built as the integers i * c_i over the parent's
     denominator.  Its ``Fraction`` coefficients, which the oracle never reads,
     are made on first use of ``coeffs``."""
 
     __slots__ = ()
 
     def __init__(self, ints: tuple[int, ...], den: int):
-        _set(self, "backend", EXACT)
-        _set(self, "degree", len(ints) - 1)
-        _set(self, "_ints", ints)
-        _set(self, "_den", den)
+        self._set_exact(ints, den)
 
     @property
     def coeffs(self) -> tuple:
@@ -209,11 +208,13 @@ class _ExactDerivative(Polynomial):
 _COEFFS_SLOT = Polynomial.coeffs
 
 
-def from_roots(roots: Sequence[Scalar], leading: int = 1, backend: str | None = None) -> Polynomial:
+def from_roots(roots: Sequence[Scalar], leading: int = 1) -> Polynomial:
     """Expand ``leading * prod(x - r_i)`` to a coefficient vector.
 
-    Roots must be pairwise distinct (the constructions this feeds require
-    simple roots); equality is checked exactly, with no tolerance.
+    The expansion is exact when every root is an int or ``Fraction``, and in
+    float64 otherwise.  Roots must be pairwise distinct (the constructions
+    this feeds require simple roots); equality is checked exactly, with no
+    tolerance.
     """
     if leading not in (-1, 1):
         raise ValueError("leading sign must be -1 or +1")
@@ -221,12 +222,10 @@ def from_roots(roots: Sequence[Scalar], leading: int = 1, backend: str | None = 
     for a, b in zip(roots, roots[1:]):
         if a == b:
             raise DuplicateRoots(f"repeated root {a!r}")
-    if backend is None:
-        backend = EXACT if all(_is_exact(r) for r in roots) else FLOAT
-    one = 1 if backend == EXACT else 1.0
+    one = 1 if all(isinstance(r, Rational) for r in roots) else 1.0
     coeffs = [one]
     for r in roots:
-        r = r if backend == EXACT else float(r)
+        r = r * one  # floats a root only on the float path
         nxt = [0 * one] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i] += -r * c
@@ -234,7 +233,7 @@ def from_roots(roots: Sequence[Scalar], leading: int = 1, backend: str | None = 
         coeffs = nxt
     if leading < 0:
         coeffs = [-c for c in coeffs]
-    return Polynomial(coeffs, backend=backend)
+    return Polynomial(coeffs)
 
 
 def sign_pattern(p: Polynomial, x: Scalar, d: int) -> SignPattern:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +23,10 @@ from ptf_lab.adversarial import (
 )
 from ptf_lab.polynomial import Polynomial, from_roots
 
+from util import exact_value, witness_from_json
+
 F = Fraction
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 
 class TestIntervalWitness:
@@ -67,7 +71,8 @@ class TestMissingDerivativeWitness:
         w = missing_derivative_witness(3, 2)
         _, h2 = w.alternatives[0]
         assert h2.coeffs == (0, 7776, -648, 1)
-        assert h2.eval(215) == -18343585
+        assert exact_value(h2.coeffs, 215) == -18343585
+        assert h2.eval_sign(215) == -1
 
     def test_query_orders_skip_d_minus_1(self):
         w = missing_derivative_witness(4, 2)
@@ -161,12 +166,13 @@ class TestCountRestrictedInferences:
 
 class TestWitnessSerialization:
     def test_round_trip(self):
-        for w in (
-            interval_witness(4),
-            missing_derivative_witness(3, 3),
-            linear_lower_witness(3, [-4, -3, -2]),
+        # a checked-in fixture reads back as the witness its constructor builds
+        for name, w in (
+            ("interval_n20", interval_witness(20)),
+            ("missing_derivative_d3_n4", missing_derivative_witness(3, 4)),
+            ("linear_d3", linear_lower_witness(3, [-4, -3, -2])),
         ):
-            again = Witness.loads(w.dumps())
+            again = witness_from_json((FIXTURE_DIR / f"{name}.json").read_text())
             assert again.points == w.points
             assert again.base == w.base
             assert again.alternatives == w.alternatives

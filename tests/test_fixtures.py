@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from ptf_lab.adversarial import Witness, count_restricted_inferences, verify_witness
+from ptf_lab.adversarial import count_restricted_inferences, verify_witness
+
+from util import witness_from_json
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 FIXTURES = sorted(FIXTURE_DIR.glob("*.json"))
@@ -19,11 +21,11 @@ def test_fixtures_present():
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
 def test_fixture_reverifies(path):
-    witness = Witness.loads(path.read_text())
+    witness = witness_from_json(path.read_text())
     verify_witness(witness)
     assert count_restricted_inferences(witness) == 0
 
 
 def test_linear_fixture_records_epsilon():
-    witness = Witness.loads((FIXTURE_DIR / "linear_d2.json").read_text())
+    witness = witness_from_json((FIXTURE_DIR / "linear_d2.json").read_text())
     assert witness.meta["epsilon"] == "1/3"

@@ -18,7 +18,7 @@ import pytest
 
 from ptf_lab import harness
 from ptf_lab.harness import ExperimentConfig, run
-from ptf_lab.polynomial import EXACT, FLOAT
+from ptf_lab.distributions import EXACT, FLOAT
 
 IT, BA, SS = harness.ITERATIVE, harness.BATCH, harness.SAMPLE_SEARCH
 

@@ -12,7 +12,7 @@ from ptf_lab.polynomial import Polynomial, from_roots
 
 F = Fraction
 
-fractions = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+fractions = st.integers(min_value=-64, max_value=64).map(lambda v: F(v, 16))  # float64 holds them
 
 
 def times_x2_plus_1(p: Polynomial) -> Polynomial:
@@ -64,6 +64,15 @@ def test_float_points_on_and_between_roots():
     assert inst.roots == (0.25, 0.75) and all(type(r) is float for r in inst.roots)
 
 
+@pytest.mark.parametrize("root", [2**53 + 1, F(2**53) + F(1, 3), F(2**53 + 2) - F(1, 3)])
+def test_roots_are_compared_with_points_exactly(root):
+    # each root lies strictly between the two points, but its nearest float
+    # is one of them
+    points = np.array([2.0**53, 2.0**53 + 2])
+    inst = Instance(points=points, hidden=from_roots([root]), d=1, roots=(root,))
+    assert true_labels(inst).tolist() == [-1, 1]
+
+
 class TestValidation:
     quadratic = Polynomial([2, -3, 1])  # x^2 - 3x + 2 = (x - 1)(x - 2)
 
@@ -97,6 +106,16 @@ class TestValidation:
 
     def test_rejects_unsorted_points(self):
         with pytest.raises(ValueError, match="points"):
-            self.instance(self.quadratic, (1, 2), points=(F(1, 2), F(1, 3)))
+            self.instance(self.quadratic, (1, 2), points=(F(1, 2), F(1, 4)))
         with pytest.raises(ValueError, match="points"):
             self.instance(self.quadratic, (1, 2), points=np.array([0.5, 0.5]))
+
+    def test_points_become_float64_only_if_exact(self):
+        inst = self.instance(self.quadratic, (1, 2), points=(F(1, 2), 3, np.int64(4)))
+        assert inst.points.dtype == np.float64 and inst.points.tolist() == [0.5, 3.0, 4.0]
+        with pytest.raises(ValueError, match="rounded"):
+            self.instance(self.quadratic, (1, 2), points=(F(1, 3), 3))
+        with pytest.raises(ValueError, match="rounded"):
+            self.instance(self.quadratic, (1, 2), points=(0, 2**53 + 1))
+        with pytest.raises(ValueError, match="finite"):
+            self.instance(self.quadratic, (1, 2), points=np.array([0.5, np.inf]))

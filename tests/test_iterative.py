@@ -34,10 +34,12 @@ class TestPartition:
         assert partition_fixed_pattern(range(5), []) == [(0, 4)]
 
     def test_cubic_on_equispaced_points(self):
-        # hidden (x-1/4)(x-1/2)(x-3/4); the sign vectors of its first and
-        # second derivatives at k/9 split 8 points into 4 segments
-        roots = (F(1, 4), F(1, 2), F(3, 4))
-        points = [F(k, 9) for k in range(1, 9)]
+        # hidden (x-9/4)(x-9/2)(x-27/4); the sign vectors of its first and
+        # second derivatives at the integers 1..8 split them into 4 segments
+        # (the cubic with roots 1/4, 1/2, 3/4 at k/9, scaled by 9 so that
+        # float64 holds the points)
+        roots = (F(9, 4), F(9, 2), F(27, 4))
+        points = list(range(1, 9))
         inst = Instance(points=tuple(points), hidden=from_roots(roots), d=3, roots=roots)
         higher = [true_signs(inst, 1), true_signs(inst, 2)]
         segs = partition_fixed_pattern(points, higher)

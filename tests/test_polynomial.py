@@ -1,25 +1,24 @@
 """Polynomial arithmetic, sign evaluation, and pattern tests."""
 
-import json
 import math
 from fractions import Fraction
 from itertools import zip_longest
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ptf_lab.distributions import RootModel, Seed, random_instance
 from ptf_lab.polynomial import (
-    EXACT,
-    FLOAT,
-    BackendMismatch,
     DuplicateRoots,
     Polynomial,
     from_roots,
     sign_of,
     sign_pattern,
 )
+
+from util import exact_value, reference_sign
 
 F = Fraction
 
@@ -47,7 +46,7 @@ class TestFromRoots:
     def test_float_matches_exact_expansion(self):
         exact = from_roots([F(1, 4), F(1, 2), F(3, 4)])
         fl = from_roots([0.25, 0.5, 0.75])
-        assert fl.backend == FLOAT
+        assert all(type(c) is float for c in fl.coeffs)  # float roots keep float coefficients
         assert fl.coeffs == tuple(float(c) for c in exact.coeffs)
 
 
@@ -62,7 +61,7 @@ class TestEvalSign:
     def test_large_integer_evaluation_is_exact(self):
         # x^3 - 648 x^2 + 7776 x at 215 is exactly -18,343,585
         h = Polynomial([0, 7776, -648, 1])
-        assert h.eval(215) == -18343585
+        assert exact_value(h.coeffs, 215) == -18343585
         assert h.eval_sign(215) == -1
 
     def test_exact_kernel_edge_cases(self):
@@ -126,36 +125,12 @@ class TestSignPattern:
 
 
 class TestBackends:
-    def test_exact_rejects_float_point(self):
-        with pytest.raises(BackendMismatch):
-            Polynomial([1, 1]).eval(0.5)
-        with pytest.raises(BackendMismatch):
-            Polynomial([F(1, 3), 1]).eval_sign(0.5)
-        with pytest.raises(BackendMismatch):
-            Polynomial([]).eval_sign(0.5)
-        with pytest.raises(BackendMismatch):
-            Polynomial([F(1, 3), 1, 1]).derivative().eval_sign(0.5)
-
-    def test_exact_rejects_float_coeff(self):
-        with pytest.raises(BackendMismatch):
-            Polynomial([0.5, 1], backend=EXACT)
-
     def test_vectorized_matches_scalar(self):
         p = from_roots([0.2, 0.5, 0.9])
         xs = np.concatenate([np.linspace(0, 1, 17), [0.2, 0.5, 0.9]])
         many = p.eval_sign_many(xs)
         assert many.dtype == np.int8
         assert many.tolist() == [p.eval_sign(float(x)) for x in xs]
-
-    def test_json_round_trip_exact(self):
-        p = from_roots([F(1, 4), F(1, 2)])
-        q = Polynomial.from_json(json.loads(json.dumps(p.to_json())))
-        assert q == p
-        assert q.to_json()["coeffs"][0] == "1/8"
-
-    def test_json_round_trip_float(self):
-        p = from_roots([0.25, 0.5])
-        assert Polynomial.from_json(json.loads(json.dumps(p.to_json()))) == p
 
 
 coeff_fractions = st.fractions(
@@ -190,12 +165,11 @@ def test_integer_derivative_matches_fraction_rule(coeffs, order):
     ref = list(coeffs)
     for _ in range(order):
         ref = [i * ref[i] for i in range(1, len(ref))]
-    expected = Polynomial(ref, backend=EXACT)
-    got = Polynomial(coeffs, backend=EXACT).derivative(order)
+    expected = Polynomial(ref)
+    got = Polynomial(coeffs).derivative(order)
     assert got.degree == expected.degree
     assert got.coeffs == expected.coeffs
     assert got == expected and hash(got) == hash(expected)
-    assert got.to_json() == expected.to_json()
     assert got.derivative() == expected.derivative()
 
 
@@ -224,14 +198,14 @@ def test_sign_flips_exactly_once_across_each_root(roots, leading):
 @settings(max_examples=150, deadline=None)
 def test_exact_and_float_signs_agree_away_from_zero(coeffs, x):
     exact = Polynomial(coeffs)
-    fl = Polynomial([float(c) for c in coeffs], backend=FLOAT)
+    fl = Polynomial([float(c) for c in coeffs])
     xf = float(x)
     acc = 0.0
     max_mag = 1.0
     for c in reversed(fl.coeffs):
         acc = acc * xf + c
         max_mag = max(max_mag, abs(acc))
-    exact_val = exact.eval(x)
+    exact_val = exact_value(exact.coeffs, x)
     assume(abs(exact_val) > max_mag * 2.0**-40)
     assert fl.eval_sign(xf) == exact.eval_sign(x)
 
@@ -252,7 +226,7 @@ def test_exact_sign_kernel_matches_fraction_value(coeffs, x, order):
     # leading sign; the empty list is the zero polynomial (sign +1)
     for s in (1, -1):
         p = Polynomial([s * c for c in coeffs]).derivative(order)
-        assert p.eval_sign(x) == sign_of(p.eval(x))
+        assert p.eval_sign(x) == sign_of(exact_value(p.coeffs, x))
 
 
 @given(
@@ -265,10 +239,10 @@ def test_exact_sign_kernel_at_roots(roots, scale, pick):
     p = from_roots(roots)
     p = Polynomial([scale * c for c in p.coeffs])
     root = roots[pick % len(roots)]
-    assert p.eval(root) == 0
+    assert exact_value(p.coeffs, root) == 0
     assert p.eval_sign(root) == 1  # sign(0) = +1
     for x in (root - F(1, 2**60), root + F(1, 2**60)):
-        assert p.eval_sign(x) == sign_of(p.eval(x))
+        assert p.eval_sign(x) == sign_of(exact_value(p.coeffs, x))
 
 
 @given(
@@ -277,9 +251,94 @@ def test_exact_sign_kernel_at_roots(roots, scale, pick):
 )
 @settings(max_examples=100, deadline=None)
 def test_finite_difference_matches_formal_derivative(coeffs, x):
-    p = Polynomial([float(c) for c in coeffs], backend=FLOAT)
-    deriv = p.derivative().eval(x)
+    p = Polynomial([float(c) for c in coeffs])
+    deriv = exact_value(p.derivative().coeffs, x)
     assume(abs(deriv) > 1.0)
     h = 1e-6 * max(1.0, abs(x))
-    numeric = (p.eval(x + h) - p.eval(x - h)) / (2 * h)
+    numeric = (exact_value(p.coeffs, x + h) - exact_value(p.coeffs, x - h)) / (2 * h)
     assert math.isclose(numeric, deriv, rel_tol=1e-5)
+
+
+# the certified kernel against the Fraction reference of tests/util.py
+nonzero_scales = st.one_of(
+    coeff_fractions.filter(lambda c: c != 0),
+    st.floats(min_value=-1e6, max_value=1e6).filter(lambda c: c != 0),
+    st.sampled_from([5e-324, -3e-320, 2.0**-1000, 1e300]),  # subnormal and huge coefficients
+)
+float_points = st.one_of(
+    st.floats(min_value=-4, max_value=4),  # |x| > 1 included
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 1.0, -1.0]),  # subnormal points
+)
+other_points = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-9, max_value=9).map(np.int64),
+    point_fractions,
+)
+
+
+@given(
+    roots=st.lists(
+        st.integers(min_value=-(2**20), max_value=2**20).map(lambda v: F(v, 2**19)),
+        max_size=6,
+        unique=True,
+    ),
+    scale=nonzero_scales,
+    floats=st.lists(float_points, max_size=6),
+    others=st.lists(other_points, max_size=4),
+    order=st.integers(min_value=0, max_value=3),
+)
+@example(roots=[], scale=1, floats=[0.5], others=[2], order=1)  # the zero polynomial
+@example(roots=[F(1, 2), F(3, 4)], scale=5e-324, floats=[5e-324, 0.625], others=[], order=0)
+@example(  # |x| > 1, where sum |c_i| |x|^i is far above the bound's sum |c_i|
+    roots=[F(v, 2**8) for v in (878322, 878323, 878328, 878329, 878330, 878333, 878334, 878346)],
+    scale=1,
+    floats=[float.fromhex("0x1.acde3fffe5322p+11")],
+    others=[],
+    order=0,
+)
+@settings(max_examples=300, deadline=None)
+def test_eval_sign_equals_reference_sign(roots, scale, floats, others, order):
+    # roots are dyadic, so their floats are exact points on the roots; the
+    # neighbours one ulp either side are the hardest points for the filter
+    coeffs = [scale * c for c in from_roots(roots).coeffs]  # floats when scale is one
+    p = Polynomial(coeffs).derivative(order)
+    on_roots = [float(r) for r in roots]
+    near = [np.nextafter(r, side) for r in on_roots for side in (-np.inf, np.inf)]
+    xs = on_roots + [float(x) for x in near] + floats
+    want = [reference_sign(coeffs, x, order) for x in xs]
+    assert [p.eval_sign(x) for x in xs] == want
+    assert p.eval_sign_many(np.array(xs, dtype=np.float64)).tolist() == want
+    mixed = xs + others
+    want += [reference_sign(coeffs, x, order) for x in others]
+    assert [p.eval_sign(x) for x in others] == want[len(xs):]
+    assert p.eval_sign_many(mixed).tolist() == want
+
+
+def test_clustered_float_draw_signs_are_exact():
+    # Dirichlet(0.1) roots cluster, so the float draw's polynomial and its
+    # derivatives come close to 0 at many points; plain float Horner gets
+    # some of these signs wrong
+    d = 8
+    inst = random_instance(4096, RootModel("dirichlet", d, 0.1), Seed(99, 6).rng())
+    coeffs, xs = inst.hidden.coeffs, inst.points.tolist()
+    for order in range(d):
+        want = [reference_sign(coeffs, x, order) for x in xs]
+        q = inst.hidden.derivative(order)
+        assert q.eval_sign_many(inst.points).tolist() == want, order
+        assert [q.eval_sign(x) for x in xs] == want, order
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coefficients_and_points_raise(bad):
+    with pytest.raises((ValueError, OverflowError)):
+        Polynomial([0.5, bad])
+    with pytest.raises((ValueError, OverflowError)):
+        from_roots([0.5, bad])
+    p = Polynomial([0.5, -1.0, 1.0])
+    for q in (p, p.derivative(), Polynomial([])):
+        with pytest.raises((ValueError, OverflowError)):
+            q.eval_sign(bad)
+        with pytest.raises((ValueError, OverflowError)):
+            q.eval_sign_many(np.array([0.25, bad]))
+        with pytest.raises((ValueError, OverflowError)):
+            q.eval_sign_many([F(1, 4), bad])

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import bisect
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from ptf_lab.adversarial import Witness
 from ptf_lab.distributions import RootModel, Seed, random_instance
 from ptf_lab.instances import Instance
 from ptf_lab.oracle import Oracle, QuerySet
+from ptf_lab.polynomial import Polynomial
 
 
 def trial_rng(master: int, stream: int = 0) -> np.random.Generator:
@@ -113,3 +116,47 @@ def restricted_infer(queried, targets) -> list[tuple[int, int]]:
 def true_signs(instance: Instance, order: int = 0) -> np.ndarray:
     """Signs of the hidden polynomial's order-th derivative at all points."""
     return instance.hidden.derivative(order).eval_sign_many(instance.points)
+
+
+def exact_value(coeffs, x, order: int = 0) -> Fraction:
+    """The order-th derivative of sum(coeffs[i] x**i) at x, as a ``Fraction``.
+
+    Every coefficient and the point are read as exact ``Fraction``s, the
+    derivative is taken by the power rule, and the value by ``Fraction``
+    Horner, so it shares no code with the package's float filter or integer
+    kernel.
+    """
+    cs = [Fraction(c) for c in coeffs]
+    for _ in range(order):
+        cs = [i * cs[i] for i in range(1, len(cs))]
+    x = Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)  # no int64 wrap
+    value = Fraction(0)
+    for c in reversed(cs):
+        value = value * x + c
+    return value
+
+
+def reference_sign(coeffs, x, order: int = 0) -> int:
+    """Reference for ``Polynomial.eval_sign``: the sign of ``exact_value``, sign(0) = +1."""
+    return -1 if exact_value(coeffs, x, order) < 0 else 1
+
+
+def witness_from_json(text: str) -> Witness:
+    """Read a witness fixture: points and coefficients are "a/b" strings."""
+    obj = json.loads(text)
+
+    def scalar(s):
+        f = Fraction(s)
+        return f.numerator if f.denominator == 1 else f
+
+    def poly(p) -> Polynomial:
+        return Polynomial([Fraction(c) for c in p["coeffs"]])
+
+    return Witness(
+        points=tuple(scalar(s) for s in obj["points"]),
+        base=poly(obj["base"]),
+        alternatives=tuple((a["flips"], poly(a["poly"])) for a in obj["alternatives"]),
+        query_orders=frozenset(obj["query_orders"]),
+        d=obj["d"],
+        meta=obj.get("meta", {}),
+    )
