@@ -83,20 +83,19 @@ def count_restricted_inferences(w: Witness) -> int:
     The rule is only sound when both sandwich endpoints expose the signs of
     every order 0..d-1, so witnesses whose query set lacks one of those
     orders admit no inference at all.  For full-order witnesses each point
-    in turn is withheld and ``batch.infer_labels`` is asked about it, with
-    the points named by their rank in x order and their patterns taken
+    in turn is withheld, the rest queried, and ``batch.infer_labels`` is
+    asked about it, with the points in x order and their patterns taken
     under the base polynomial.
     """
     if not set(range(w.d)) <= set(w.query_orders):
         return 0
     by_x = sorted(w.points)
     patterns = np.array([sign_pattern(w.base, x, w.d)[: w.d] for x in by_x], dtype=np.int8)
-    ranks = np.arange(len(by_x))
     count = 0
-    for r in ranks:
-        queried = np.delete(ranks, r)
-        positions, _ = infer_labels(queried, np.delete(patterns, r, axis=0), ranks[r : r + 1])
-        count += len(positions)
+    for r in range(len(by_x)):
+        queried = np.ones(len(by_x), dtype=bool)
+        queried[r] = False
+        count += bool(infer_labels(queried, np.delete(patterns, r, axis=0))[r])
     return count
 
 

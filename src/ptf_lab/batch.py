@@ -12,6 +12,13 @@ The restricted rule needs the sign of every order 0..d-1 at both sandwich
 endpoints; no inference is attempted from partial patterns.  The rule lives
 in ``infer_labels``, which ``adversarial.count_restricted_inferences`` also
 uses to count the points a witness leaves inferable.
+
+The bookkeeping is a few linear array passes per batch, with no sorting or
+binary search: the sampled set is a boolean mask over the remaining points,
+and ``infer_labels`` labels every point of that mask from its gap between
+queried points, found by counting.  The generator is called exactly once per
+batch, as ``rng.integers(0, len(remaining), size=m)``, and nowhere else, so
+a seed fixes every batch.
 """
 
 from __future__ import annotations
@@ -71,27 +78,31 @@ class BatchParams:
         return (self.m - 2 * self.k) / self.m
 
 
-def infer_labels(
-    queried_idx: np.ndarray, patterns: np.ndarray, target_idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def infer_labels(queried: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     """Labels inferable from sandwiching queried points with equal patterns.
 
-    Points are named by their index in x order.  ``queried_idx`` is sorted
-    and ``patterns`` holds its points' sign patterns, one int8 row of orders
-    0..d-1 each; ``target_idx`` is sorted and disjoint from ``queried_idx``.
-    A target strictly between two adjacent queried points whose patterns are
-    identical gets their shared label (pattern entry 0).  Returns (positions
-    into target_idx, inferred signs) for the inferable targets only.
+    ``queried`` is a boolean mask over points in x order, and ``patterns``
+    holds the queried points' sign patterns in that order, one int8 row of
+    orders 0..d-1 each.  A point strictly between two adjacent queried
+    points whose patterns are identical gets their shared label (pattern
+    entry 0).  Returns an int8 array over all points: the inferred label,
+    or 0 at queried points and at points the rule cannot label.
+
+    Gap g holds the points with exactly g of the q queried points below
+    them.  A per-gap table holds the shared label of each gap whose
+    bracketing patterns are equal and 0 for the others, the open gaps 0 and
+    q included; repeating each entry by its gap's length labels every point.
+    The cost is linear in the number of points, with no search.
     """
-    if len(queried_idx) < 2 or len(target_idx) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8)
+    at = np.flatnonzero(queried)
+    q = len(at)
+    table = np.zeros(q + 1, dtype=np.int8)
     pair_equal = np.all(patterns[1:] == patterns[:-1], axis=1)
-    pos = np.searchsorted(queried_idx, target_idx)
-    ok = (pos > 0) & (pos < len(queried_idx))
-    ok[ok] &= pair_equal[pos[ok] - 1]
-    positions = np.flatnonzero(ok)
-    signs = patterns[pos[positions] - 1, 0]
-    return positions, signs
+    table[1:q] = np.where(pair_equal, patterns[:-1, 0], 0)
+    # gap g runs from queried point g - 1 (point 0 for g = 0) up to queried point g
+    labels = np.repeat(table, np.diff(at, prepend=0, append=len(queried)))
+    labels[at] = 0
+    return labels
 
 
 @dataclass
@@ -137,18 +148,19 @@ def learn_all(
             bodies += 1
             if bodies > guard:
                 raise NonTermination(f"coverage loop exceeded {guard} batches")
-            sampled = np.unique(rng.integers(0, len(remaining), size=m))
-            queried_idx = remaining[sampled]
+            hit = np.zeros(len(remaining), dtype=bool)
+            hit[rng.integers(0, len(remaining), size=m)] = True
+            queried_idx = remaining[hit]
             patterns = _query_patterns(instance, oracle, queried_idx)
             loop_rounds += 1
-            unqueried = np.delete(remaining, sampled)
-            positions, signs = infer_labels(queried_idx, patterns, unqueried)
-            cov = 1.0 if len(unqueried) == 0 else len(positions) / len(unqueried)
+            inferred = infer_labels(hit, patterns)
+            unqueried = len(remaining) - len(queried_idx)
+            cov = 1.0 if unqueried == 0 else np.count_nonzero(inferred) / unqueried
             if cov >= threshold:
                 break
+        labels[remaining] = inferred  # 0 where still unknown, set by a later batch
         labels[queried_idx] = patterns[:, 0]
-        labels[unqueried[positions]] = signs
-        remaining = np.delete(unqueried, positions)
+        remaining = remaining[(inferred == 0) & ~hit]
 
     if len(remaining) > 0:
         patterns = _query_patterns(instance, oracle, remaining)

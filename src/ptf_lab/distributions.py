@@ -90,13 +90,20 @@ def _exact_unit_draws(k: int, rng: np.random.Generator, open_interval: bool = Fa
 
 
 def uniform_points(n: int, rng: np.random.Generator, backend: str = FLOAT) -> np.ndarray:
-    """n sorted i.i.d. Uniform[0,1] draws, de-duplicated by resampling."""
+    """n sorted i.i.d. Uniform[0,1] draws, de-duplicated by resampling.
+
+    A plain sort is what ``np.unique`` returns when no two draws collide;
+    only a collision takes the ``np.unique`` resampling loop, so the stream
+    and the points are the same either way.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if backend == EXACT:
         return np.array(_exact_unit_draws(n, rng), dtype=np.float64) / _DYADIC  # exact
-    pts = rng.random(n)
-    pts = np.unique(pts)  # sorts; exact float collisions are resampled
+    pts = np.sort(rng.random(n))
+    if np.all(pts[1:] != pts[:-1]):
+        return pts
+    pts = np.unique(pts)  # exact float collisions are resampled
     while len(pts) < n:
         pts = np.unique(np.concatenate([pts, rng.random(n - len(pts))]))
     return pts

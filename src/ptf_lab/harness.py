@@ -8,6 +8,11 @@ and points are drawn; signs are evaluated exactly in either mode.  The row's
 ``correct`` says whether every label equals the ground truth that
 ``instances.true_labels`` reads off the instance's roots, which shares no
 code with the oracle's sign evaluation.
+Batch rows also carry the learner's ``iterations``, ``loop_rounds`` and
+``final_round``, which other learners leave empty.  A trial that raises, in
+generation, learning or the check, still yields its row, with ``correct``
+false and ``case`` "Type: message"; a configuration error raises when the
+``ExperimentConfig`` is built, before any trial runs.
 Aggregates per sweep cell go to a JSON sidecar that entropy comparison
 consumes.
 
@@ -44,7 +49,7 @@ from .distributions import (
     random_instance,
 )
 from .instances import true_labels
-from .oracle import Oracle, QuerySet
+from .oracle import Oracle, QueryLedger, QuerySet
 
 ITERATIVE = "iterative"
 BATCH = "batch"
@@ -67,6 +72,9 @@ CSV_COLUMNS = [
     "rounds",
     "z",
     "case",
+    "iterations",
+    "loop_rounds",
+    "final_round",
     "correct",
     "wall_ms",
 ]
@@ -95,8 +103,20 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if not self.d_values or not self.n_values:
             raise ValueError("sweep lists must be non-empty")
-        if self.learner == BATCH and not self.alphas:
-            raise ValueError("batch sweeps need at least one alpha")
+        if min(self.n_values) < 1:
+            raise ValueError("n must be at least 1")
+        for d in self.d_values:  # raises on d or a model out of range
+            self.root_model(d)
+        if self.learner == BATCH:
+            if not self.alphas:
+                raise ValueError("batch sweeps need at least one alpha")
+            for cell in self.cells():  # raises on alpha or n out of range
+                batch.BatchParams(d=cell["d"], n=cell["n"], alpha=cell["alpha"])
+
+    def root_model(self, d: int) -> RootModel:
+        """Roots of degree d: sample_search draws them from ``model``, the others uniformly."""
+        kind = self.model if self.learner == SAMPLE_SEARCH else UNIFORM
+        return RootModel(kind, d, self.dirichlet_alpha if kind == DIRICHLET else None)
 
     def cells(self) -> list[dict]:
         out = []
@@ -120,14 +140,6 @@ def _run_single_trial(args: tuple) -> dict:
     config, cell, trial_idx, stream = args
     rng = Seed(config.master_seed, stream).rng()
     d, n = cell["d"], cell["n"]
-    model_kind = config.model if config.learner == SAMPLE_SEARCH else UNIFORM
-    model = RootModel(
-        model_kind, d, config.dirichlet_alpha if model_kind == DIRICHLET else None
-    )
-    instance = random_instance(
-        n, model, rng, backend=config.backend, random_leading=config.random_leading
-    )
-
     row = {
         "trial": trial_idx,
         "seed_stream": stream,
@@ -138,35 +150,45 @@ def _run_single_trial(args: tuple) -> dict:
         "backend": config.backend,
         "z": "",
         "case": "",
+        "iterations": "",
+        "loop_rounds": "",
+        "final_round": "",
     }
-    start = time.perf_counter()
-    error = None
-    labels = None
-    if config.learner == SAMPLE_SEARCH:
-        oracle = Oracle(instance.hidden, QuerySet.label_only(d))
-    else:
-        oracle = Oracle(instance.hidden, QuerySet.full(d))
+    oracle = None
+    start = None
+    correct = False
     try:
+        instance = random_instance(
+            n,
+            config.root_model(d),
+            rng,
+            backend=config.backend,
+            random_leading=config.random_leading,
+        )
+        start = time.perf_counter()
+        if config.learner == SAMPLE_SEARCH:
+            oracle = Oracle(instance.hidden, QuerySet.label_only(d))
+        else:
+            oracle = Oracle(instance.hidden, QuerySet.full(d))
         if config.learner == ITERATIVE:
             result = iterative.learn_all(instance, oracle)
-            labels = result.labels
         elif config.learner == BATCH:
             params = batch.BatchParams(d=d, n=n, alpha=cell["alpha"])
             result = batch.learn_all(instance, oracle, params, rng)
-            labels = result.labels
+            row["iterations"] = result.iterations
+            row["loop_rounds"] = result.loop_rounds
+            row["final_round"] = result.final_round
         else:
             result = sample_search.sample_and_search(instance, oracle, d, rng)
-            labels = result.labels
             row["z"] = result.z
             row["case"] = result.case
-    except (batch.NonTermination, sample_search.DegreeViolation) as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    wall_ms = (time.perf_counter() - start) * 1000.0
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        correct = bool(np.array_equal(np.asarray(result.labels), true_labels(instance)))
+    except Exception as exc:  # a failed trial is a row, not the end of the sweep
+        wall_ms = 0.0 if start is None else (time.perf_counter() - start) * 1000.0
+        row["case"] = f"{type(exc).__name__}: {exc}"
 
-    correct = False
-    if error is None:
-        correct = bool(np.array_equal(np.asarray(labels), true_labels(instance)))
-    ledger = oracle.ledger
+    ledger = oracle.ledger if oracle is not None else QueryLedger()
     per_order = ledger.per_order
     row.update(
         {
@@ -183,8 +205,6 @@ def _run_single_trial(args: tuple) -> dict:
             "wall_ms": f"{wall_ms:.3f}",
         }
     )
-    if error is not None:
-        row["case"] = error
     return row
 
 

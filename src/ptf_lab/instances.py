@@ -81,8 +81,7 @@ def true_labels(instance: Instance) -> np.ndarray:
                 below[i] = upto[i]
             elif p > r:
                 upto[i] = below[i]
-    coeffs = instance.hidden.coeffs
-    sign = -1 if coeffs and coeffs[-1] < 0 else 1
+    sign = instance.hidden.leading_sign
     if len(roots) % 2:
         sign = -sign
     labels = np.empty(len(pts), dtype=np.int8)

@@ -33,13 +33,16 @@ Sign evaluation is one kernel, a float filter in front of integer Horner
 (the adaptive-predicate pattern of Shewchuk, 1997).  ``eval_sign`` and
 ``eval_sign_many`` return the sign of the float Horner value at a float
 point with |x| <= 1 when that value's magnitude exceeds ``_bound``; the true
-value then has the same sign.  Every other point -- uncertified, |x| > 1, or
-not a float (huge ints, ``Fraction``) -- gets integer Horner: at x = a/b
-(b > 0) the sign of sum(c_i a**i b**(deg-i)) = D * b**deg * p(x).  NaN and
-infinite points and coefficients raise (ValueError and OverflowError, from
-``as_integer_ratio``); they get no sign.
+value then has the same sign.  (``eval_sign_many`` runs that Horner on a
+numpy copy of ``_floats``, made on its first call.)  Every other point --
+uncertified, |x| > 1, or not a float (huge ints, ``Fraction``) -- gets
+integer Horner: at x = a/b (b > 0) the sign of
+sum(c_i a**i b**(deg-i)) = D * b**deg * p(x).  NaN and infinite points and
+coefficients raise (ValueError and OverflowError, from ``as_integer_ratio``);
+they get no sign.
 
-A derivative is built on the integers alone (i * c_i over the same D); its
+A derivative is built on the integers alone (i * c_i over the same D), and
+an exact ``from_roots`` expansion on the integers of prod(b_i x - a_i); their
 ``Fraction`` coefficients are made only when ``coeffs`` is read.
 
 These signs are what the oracle answers.  Ground truth for labels does not
@@ -94,7 +97,7 @@ class Polynomial:
     degree -1).  ``degree`` is the highest index with a nonzero coefficient.
     """
 
-    __slots__ = ("coeffs", "degree", "_ints", "_den", "_floats", "_bound")
+    __slots__ = ("coeffs", "degree", "_ints", "_den", "_floats", "_float_array", "_bound")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         coeffs = list(coeffs)
@@ -129,6 +132,11 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    @property
+    def leading_sign(self) -> int:
+        """Sign of the leading coefficient; +1 for the zero polynomial."""
+        return -1 if self._ints and self._ints[-1] < 0 else 1
+
     def _exact_sign(self, x) -> int:
         """Sign of p(x) by integer Horner on ``_ints``."""
         a, b = _ratio(x)
@@ -156,12 +164,26 @@ class Polynomial:
         """``eval_sign`` at every point of xs, as an int8 array."""
         xs = np.asarray(xs)
         # the filter runs on float arrays inside [-1, 1] (NaN fails the test)
-        if xs.dtype != np.float64 or not (xs.size and -1.0 <= xs.min() and xs.max() <= 1.0):
+        if xs.dtype != np.float64 or not (xs.size and np.abs(xs).max() <= 1.0):
             return np.fromiter(map(self.eval_sign, xs.tolist()), dtype=np.int8, count=xs.size)
-        vals = np.polynomial.polynomial.polyval(xs, self._floats or (0.0,))
-        signs = np.where(vals < 0, -1, 1).astype(np.int8)
-        for i in np.flatnonzero(np.abs(vals) <= self._bound).tolist():
-            signs[i] = self._exact_sign(float(xs[i]))
+        try:
+            cs = self._float_array
+        except AttributeError:  # made on the first array evaluation
+            cs = np.array(self._floats or (0.0,))
+            _set(self, "_float_array", cs)
+        if len(cs) == 1:
+            vals = np.full(xs.shape, cs[0])
+        else:  # Horner, one rounding per product and per sum
+            vals = xs * cs[-1]
+            vals += cs[-2]
+            for c in cs[-3::-1]:
+                vals *= xs
+                vals += c
+        signs = np.where(vals < 0, np.int8(-1), np.int8(1))
+        np.abs(vals, out=vals)
+        if vals.min() <= self._bound:
+            for i in np.flatnonzero(vals <= self._bound).tolist():
+                signs[i] = self._exact_sign(float(xs[i]))
         return signs
 
     def derivative(self, order: int = 1) -> "Polynomial":
@@ -173,7 +195,7 @@ class Polynomial:
         ints = self._ints
         for _ in range(order):
             ints = tuple(i * ints[i] for i in range(1, len(ints)))
-        return _ExactDerivative(ints, self._den)
+        return _IntegerPolynomial(ints, self._den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -185,10 +207,11 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-class _ExactDerivative(Polynomial):
-    """A derivative, built as the integers i * c_i over the parent's
-    denominator.  Its ``Fraction`` coefficients, which the oracle never reads,
-    are made on first use of ``coeffs``."""
+class _IntegerPolynomial(Polynomial):
+    """A polynomial built from integers over a positive denominator: a
+    derivative (i * c_i over the parent's denominator) or an exact
+    ``from_roots`` expansion.  Its ``Fraction`` coefficients, which the
+    oracle never reads, are made on first use of ``coeffs``."""
 
     __slots__ = ()
 
@@ -215,6 +238,10 @@ def from_roots(roots: Sequence[Scalar], leading: int = 1) -> Polynomial:
     float64 otherwise.  Roots must be pairwise distinct (the constructions
     this feeds require simple roots); equality is checked exactly, with no
     tolerance.
+
+    The exact expansion is prod(b_i x - a_i) over prod(b_i), for roots
+    a_i / b_i, in integers; dividing out the common gcd leaves the integers
+    over the lcm denominator that ``Polynomial`` itself would store.
     """
     if leading not in (-1, 1):
         raise ValueError("leading sign must be -1 or +1")
@@ -222,11 +249,21 @@ def from_roots(roots: Sequence[Scalar], leading: int = 1) -> Polynomial:
     for a, b in zip(roots, roots[1:]):
         if a == b:
             raise DuplicateRoots(f"repeated root {a!r}")
-    one = 1 if all(isinstance(r, Rational) for r in roots) else 1.0
-    coeffs = [one]
+    if all(isinstance(r, Rational) for r in roots):
+        ints, den = [leading], 1
+        for r in roots:
+            a, b = _ratio(r)
+            nxt = [0] * (len(ints) + 1)
+            for i, c in enumerate(ints):
+                nxt[i] -= a * c
+                nxt[i + 1] += b * c
+            ints, den = nxt, den * b
+        g = math.gcd(den, *ints)
+        return _IntegerPolynomial(tuple(c // g for c in ints), den // g)
+    coeffs = [1.0]
     for r in roots:
-        r = r * one  # floats a root only on the float path
-        nxt = [0 * one] * (len(coeffs) + 1)
+        r = r * 1.0
+        nxt = [0.0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i] += -r * c
             nxt[i + 1] += c

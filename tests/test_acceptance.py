@@ -39,7 +39,7 @@ from ptf_lab.instances import true_labels
 from ptf_lab.oracle import Oracle, QuerySet
 from ptf_lab.polynomial import sign_pattern
 
-from util import dkw_radius, ks_statistic_discrete, z_law_cdf_grid, z_law_mean
+from util import dkw_radius, infer_at, ks_statistic_discrete, z_law_cdf_grid, z_law_mean
 
 DELTA = 1e-3  # false-alarm rate of criterion 7's KS checks, all cells together
 
@@ -284,7 +284,7 @@ def test_criterion_5_coverage_lemma():
             [sign_pattern(inst.hidden, float(pts[i]), d)[:d] for i in sampled], dtype=np.int8
         )
         rest = np.delete(np.arange(500), sampled)
-        positions, _ = batch.infer_labels(sampled, patterns, rest)
+        positions, _ = infer_at(sampled, patterns, rest)
         hits += len(positions) / len(rest) >= threshold
     freq = hits / trials
     criterion(
@@ -308,7 +308,7 @@ def test_criterion_6_inference_dimension_witness():
             idx = np.arange(size)
             recovered = 0
             for i in range(size):
-                positions, _ = batch.infer_labels(
+                positions, _ = infer_at(
                     np.delete(idx, i), np.delete(patterns, i, axis=0), idx[i : i + 1]
                 )
                 if len(positions):

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ptf_lab.batch import BatchParams, infer_labels, learn_all
 from ptf_lab.instances import true_labels
 from ptf_lab.oracle import Oracle, QuerySet
 from ptf_lab.polynomial import sign_pattern
 
-from util import full_oracle, make_instance, restricted_infer, trial_rng
+from util import full_oracle, infer_at, make_instance, restricted_infer, trial_rng
 
 
 PAT_A = (1, 1)
@@ -21,7 +23,7 @@ def infer(queried, targets):
     """infer_labels on (index, pattern) pairs and target indices, as (position, sign) pairs."""
     idx = np.array([i for i, _ in queried], dtype=np.int64)
     patterns = np.array([p for _, p in queried], dtype=np.int8).reshape(len(queried), -1)
-    positions, signs = infer_labels(idx, patterns, np.array(targets, dtype=np.int64))
+    positions, signs = infer_at(idx, patterns, np.array(targets, dtype=np.int64))
     return [(int(p), int(s)) for p, s in zip(positions, signs)]
 
 
@@ -105,12 +107,59 @@ class TestInferIndicesFastPath:
             t = np.setdiff1d(np.arange(n), q)
             patterns = rng.choice([-1, 1], size=(10, 3)).astype(np.int8)
             patterns[:, 0] = 1
-            pos, signs = infer_labels(q, patterns, t)
+            pos, signs = infer_at(q, patterns, t)
             generic = restricted_infer(
                 [(int(x), tuple(int(v) for v in p)) for x, p in zip(q, patterns)],
                 [int(x) for x in t],
             )
             assert [(int(a), int(b)) for a, b in zip(pos, signs)] == generic
+
+
+def _pattern(kind: int, d: int) -> tuple[int, ...]:
+    """One of four sign patterns (two when d = 1), so equal neighbours are common."""
+    return tuple(-1 if (kind >> j) & 1 else 1 for j in range(d))
+
+
+def _points(roles: str, kind: int = 0) -> list[tuple[bool, int]]:
+    return [(r == "q", kind) for r in roles]
+
+
+@st.composite
+def _many_points(draw):
+    """Up to 400 points with a random share of queried ones."""
+    n = draw(st.integers(0, 400))
+    share = draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    queried = rng.integers(0, 20, size=n) < share
+    return list(zip(queried.tolist(), rng.integers(0, 4, size=n).tolist()))
+
+
+@given(
+    points=st.one_of(
+        st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=40), _many_points()
+    ),
+    d=st.integers(1, 5),
+)
+@example(points=[], d=1)
+@example(points=_points("tqt"), d=2)  # one queried point
+@example(points=_points("qqq"), d=3)  # nothing to infer
+@example(points=_points("ttqtqtt"), d=2)  # points outside the queried span
+@example(points=_points("qqtqqttqq", kind=1), d=4)  # adjacent queried points
+@settings(max_examples=300, deadline=None)
+def test_infer_labels_matches_reference_rule(points, d):
+    # point i is queried when points[i][0], with pattern kind points[i][1]
+    queried = [i for i, (q, _) in enumerate(points) if q]
+    others = [i for i, (q, _) in enumerate(points) if not q]
+    patterns = [_pattern(points[i][1], d) for i in queried]
+    inferred = infer_labels(
+        np.array([q for q, _ in points], dtype=bool),
+        np.array(patterns, dtype=np.int8).reshape(len(queried), d),
+    )
+    assert inferred.dtype == np.int8 and len(inferred) == len(points)
+    expected = np.zeros(len(points), dtype=np.int8)
+    for pos, sign in restricted_infer(list(zip(queried, patterns)), others):
+        expected[others[pos]] = sign
+    assert np.array_equal(inferred, expected)
 
 
 class TestLearnAll:
@@ -140,6 +189,26 @@ class TestLearnAll:
             params = BatchParams(d=d, n=120, alpha=0.5)
             res = learn_all(inst, oracle, params, trial_rng(seed + 200))
             assert np.array_equal(res.labels, true_labels(inst))
+
+    def test_generator_called_once_per_batch(self):
+        # the only draw is integers(0, len(remaining), size=m), once per batch
+        class Recording:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, []
+
+            def integers(self, *args, **kwargs):
+                self.calls.append((args, kwargs))
+                return self.rng.integers(*args, **kwargs)
+
+        inst = make_instance(4096, 2, seed=7)
+        params = BatchParams(d=2, n=4096, alpha=0.2)
+        rec = Recording(trial_rng(8))
+        res = learn_all(inst, full_oracle(inst), params, rec)
+        assert np.array_equal(res.labels, true_labels(inst))
+        assert res.iterations >= 2 and len(rec.calls) == res.loop_rounds
+        sizes = [args[1] for args, _ in rec.calls]
+        assert all(args[0] == 0 and kw == {"size": params.m} for args, kw in rec.calls)
+        assert sizes[0] == 4096 and sizes == sorted(sizes, reverse=True)
 
     def test_rejects_mismatched_params(self):
         inst = make_instance(64, 2, seed=1)
@@ -192,7 +261,7 @@ class TestInferenceSoundness:
             )
             target_idx = np.setdiff1d(np.arange(60), idx)
             truth = true_labels(inst)
-            positions, signs = infer_labels(idx, patterns, target_idx)
+            positions, signs = infer_at(idx, patterns, target_idx)
             assert np.array_equal(signs, truth[target_idx[positions]])
 
     def test_pigeonhole_witness_small(self):
@@ -208,7 +277,7 @@ class TestInferenceSoundness:
                 idx = np.arange(size)
                 recovered = 0
                 for i in range(size):
-                    positions, _ = infer_labels(
+                    positions, _ = infer_at(
                         np.delete(idx, i), np.delete(patterns, i, axis=0), idx[i : i + 1]
                     )
                     recovered += len(positions)

@@ -44,6 +44,43 @@ class TestUniformPoints:
         assert all(a < b for a, b in zip(pts, pts[1:]))
 
 
+class RepeatingFirstDraw:
+    """A generator whose first random(n) repeats its first value at the end."""
+
+    def __init__(self, seed):
+        self.rng, self.first = np.random.default_rng(seed), True
+
+    def random(self, size):
+        out = self.rng.random(size)
+        if self.first and size > 1:
+            out[-1] = out[0]
+        self.first = False
+        return out
+
+
+def unique_path_points(n, rng):
+    """uniform_points' float draw as np.unique and a resampling loop alone."""
+    pts = np.unique(rng.random(n))
+    while len(pts) < n:
+        pts = np.unique(np.concatenate([pts, rng.random(n - len(pts))]))
+    return pts
+
+
+class TestUniformPointsCollisions:
+    def test_collision_takes_the_unique_path(self):
+        got_rng, ref_rng = RepeatingFirstDraw(3), RepeatingFirstDraw(3)
+        pts = uniform_points(1000, got_rng)
+        assert np.array_equal(pts, unique_path_points(1000, ref_rng))
+        assert len(pts) == 1000 and np.all(np.diff(pts) > 0)
+        assert got_rng.rng.random() == ref_rng.rng.random()  # same draws consumed
+
+    def test_no_collision_matches_the_unique_path(self):
+        got_rng, ref_rng = trial_rng(4), trial_rng(4)
+        pts = uniform_points(5000, got_rng)
+        assert np.array_equal(pts, unique_path_points(5000, ref_rng))
+        assert got_rng.random() == ref_rng.random()
+
+
 class TestRootModels:
     def test_dirichlet_gaps_normalized(self):
         rng = trial_rng(11)

@@ -9,7 +9,10 @@ The grid covers the three learners on the exact backend, the smallest
 cases each learner allows (d = 1, and n = 1 where the learner takes it),
 a random leading sign, a Dirichlet root model, and one float cell per
 learner.  The values were recorded before the integer sign kernel replaced
-``Fraction`` Horner in exact sign evaluation.
+``Fraction`` Horner in exact sign evaluation.  The two batch cells with an
+explicit alpha in their name, one of which runs two outer iterations per
+trial, were recorded before the batch learner's bookkeeping moved from
+``np.unique``/``np.delete`` and binary search to boolean masks and counts.
 """
 
 import json
@@ -52,6 +55,14 @@ CELLS = {
     "sample_search-float-d2-n512": dict(
         learner=SS, d=2, n=512, backend=FLOAT, trials=4, seed=403
     ),
+    # two outer iterations per trial, so the update of the remaining set counts
+    "batch-float-d2-n4096-a0.2": dict(
+        learner=BA, d=2, n=4096, backend=FLOAT, trials=4, seed=404, alphas=(0.2,)
+    ),
+    # the float-batch benchmark's shape
+    "batch-float-d4-n32768-a0.4": dict(
+        learner=BA, d=4, n=32768, backend=FLOAT, trials=2, seed=405, alphas=(0.4,)
+    ),
 }
 
 
@@ -88,10 +99,20 @@ EXPECTED = {
         (1116, (558, 558), 3, True),
         (604, (302, 302), 2, True),
     ],
+    'batch-float-d2-n4096-a0.2': [
+        (374, (187, 187), 3, True),
+        (418, (209, 209), 3, True),
+        (412, (206, 206), 3, True),
+        (402, (201, 201), 3, True),
+    ],
     'batch-float-d3-n4096': [
         (4650, (1550, 1550, 1550), 2, True),
         (4674, (1558, 1558, 1558), 2, True),
         (4644, (1548, 1548, 1548), 2, True),
+    ],
+    'batch-float-d4-n32768-a0.4': [
+        (12344, (3086, 3086, 3086, 3086), 2, True),
+        (12556, (3139, 3139, 3139, 3139), 2, True),
     ],
     'iterative-exact-d1-n1': [
         (1, (1,), 1, True),

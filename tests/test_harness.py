@@ -116,6 +116,35 @@ class TestRun:
         assert result.cell_stats[0]["mean_z"] == float(np.mean(z))
         assert len(read_csv(out)) == 10
 
+    def test_generation_error_is_a_row(self, tmp_path, monkeypatch):
+        calls = []
+
+        def failing_third(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ArithmeticError("no instance for this stream")
+            return random_instance(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "random_instance", failing_third)
+        out = tmp_path / "err.csv"
+        result = run(small_config(learner=harness.BATCH, alphas=(0.5,), out=str(out)))
+        assert len(result.rows) == 5 and len(read_csv(out)) == 5
+        bad = result.rows[2]
+        assert bad["case"] == "ArithmeticError: no instance for this stream"
+        assert bad["correct"] is False and bad["queries_total"] == 0 and bad["rounds"] == 0
+        assert bad["iterations"] == bad["loop_rounds"] == bad["final_round"] == ""
+        assert all(r["correct"] for i, r in enumerate(result.rows) if i != 2)
+        assert not result.cell_stats[0]["all_correct"]
+
+    def test_batch_rows_explain_themselves(self):
+        rows = run(small_config(learner=harness.BATCH, alphas=(0.3,), n_values=(4096,))).rows
+        for row in rows:
+            assert row["correct"] and row["case"] == ""
+            assert row["rounds"] == row["loop_rounds"] + row["final_round"]
+            assert 1 <= row["iterations"] <= row["loop_rounds"]
+        other = run(small_config()).rows[0]
+        assert other["iterations"] == other["loop_rounds"] == other["final_round"] == ""
+
     def test_small_alpha_dirichlet_sweep_writes_every_row(self, tmp_path):
         # float Dirichlet(0.1) gaps collide at 275 of 2,000 streams of seed 99;
         # such draws are redrawn, so no generation aborts the sweep.  Whether
@@ -195,6 +224,20 @@ class TestRun:
             small_config(learner="magic")
         with pytest.raises(ValueError):
             small_config(backend="exakt")
+
+    def test_bad_cells_raise_before_any_trial(self, monkeypatch):
+        monkeypatch.setattr(harness, "_run_single_trial", None)  # never reached
+        bad = [
+            dict(learner=harness.BATCH, alphas=(0.5, 0.05), n_values=(1024,)),  # alpha <= 1/ln n
+            dict(learner=harness.BATCH, alphas=(1.5,)),
+            dict(learner=harness.BATCH, alphas=(0.5,), n_values=(1,)),
+            dict(n_values=(0,)),
+            dict(d_values=(2, 0)),
+            dict(learner=harness.SAMPLE_SEARCH, model="dirichlet", dirichlet_alpha=0.0),
+        ]
+        for kw in bad:
+            with pytest.raises(ValueError):
+                run(small_config(**kw))
 
 
 class TestRunExamples:

@@ -18,7 +18,7 @@ from ptf_lab.polynomial import (
     sign_pattern,
 )
 
-from util import exact_value, reference_sign
+from util import exact_value, fraction_from_roots, reference_sign
 
 F = Fraction
 
@@ -137,6 +137,8 @@ coeff_fractions = st.fractions(
     min_value=-100, max_value=100, max_denominator=64
 )
 point_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=64)
+# roots as the exact draw makes them: v / 2^53 for integers v in (0, 2^53)
+dyadic_roots = st.integers(1, 2**53 - 1).map(lambda v: F(v, 2**53))
 
 
 @given(
@@ -171,6 +173,30 @@ def test_integer_derivative_matches_fraction_rule(coeffs, order):
     assert got.coeffs == expected.coeffs
     assert got == expected and hash(got) == hash(expected)
     assert got.derivative() == expected.derivative()
+
+
+@given(
+    roots=st.lists(
+        st.one_of(point_fractions, st.integers(-9, 9), dyadic_roots), max_size=7, unique=True
+    ),
+    leading=st.sampled_from([-1, 1]),
+    xs=st.lists(point_fractions, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_from_roots_matches_fraction_expansion(roots, leading, xs):
+    got = from_roots(roots, leading=leading)
+    expected = fraction_from_roots(roots, leading=leading)
+    assert got.degree == expected.degree == len(roots)
+    assert got.coeffs == expected.coeffs
+    assert got == expected and hash(got) == hash(expected)
+    assert got.leading_sign == expected.leading_sign == (-1 if expected.coeffs[-1] < 0 else 1)
+    floats = np.array(xs, dtype=float) / 8  # inside [-1, 1], where the float filter runs
+    for order in range(len(roots) + 1):
+        dg, de = got.derivative(order), expected.derivative(order)
+        assert dg == de
+        for x in xs + floats.tolist():
+            assert dg.eval_sign(x) == de.eval_sign(x)
+        assert np.array_equal(dg.eval_sign_many(floats), de.eval_sign_many(floats))
 
 
 @given(

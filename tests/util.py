@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from ptf_lab.adversarial import Witness
+from ptf_lab.batch import infer_labels
 from ptf_lab.distributions import RootModel, Seed, random_instance
 from ptf_lab.instances import Instance
 from ptf_lab.oracle import Oracle, QuerySet
@@ -93,6 +94,24 @@ def dkw_radius(m: int, k: int, delta: float) -> float:
     return math.sqrt(math.log(2 * k / delta) / (2 * m))
 
 
+def infer_at(queried_idx, patterns, target_idx) -> tuple[np.ndarray, np.ndarray]:
+    """``batch.infer_labels`` asked about named points.
+
+    Points are named by their index in x order; ``queried_idx`` is sorted,
+    ``patterns`` holds its points' rows, and ``target_idx`` is disjoint from
+    it.  Returns (positions into target_idx, inferred signs) for the
+    inferable targets only.
+    """
+    queried_idx = np.asarray(queried_idx, dtype=np.int64)
+    target_idx = np.asarray(target_idx, dtype=np.int64)
+    size = max(queried_idx.max(initial=-1), target_idx.max(initial=-1)) + 1
+    queried = np.zeros(size, dtype=bool)
+    queried[queried_idx] = True
+    inferred = infer_labels(queried, patterns)[target_idx]
+    positions = np.flatnonzero(inferred)
+    return positions, inferred[positions]
+
+
 def restricted_infer(queried, targets) -> list[tuple[int, int]]:
     """Reference sandwich rule on point values, for checking batch.infer_labels.
 
@@ -111,6 +130,19 @@ def restricted_infer(queried, targets) -> list[tuple[int, int]]:
         if 0 < pos < len(xs) and xs[pos] != t and patterns[pos - 1] == patterns[pos]:
             out.append((idx, patterns[pos - 1][0]))
     return out
+
+
+def fraction_from_roots(roots, leading: int = 1) -> Polynomial:
+    """Reference for exact ``from_roots``: leading * prod(x - r_i) expanded
+    term by term in ``Fraction``/int arithmetic, then handed to ``Polynomial``."""
+    coeffs = [1]
+    for r in sorted(roots):
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i] += -r * c
+            nxt[i + 1] += c
+        coeffs = nxt
+    return Polynomial([leading * c for c in coeffs])
 
 
 def true_signs(instance: Instance, order: int = 0) -> np.ndarray:
