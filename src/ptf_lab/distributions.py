@@ -74,19 +74,23 @@ class RootModel:
                 raise ValueError("dirichlet model needs alpha > 0")
 
 
-def _exact_unit_draws(k: int, rng: np.random.Generator, open_interval: bool = False) -> list[int]:
+def _exact_unit_draws(k: int, rng: np.random.Generator, open_interval: bool = False) -> np.ndarray:
     """k distinct integers v in [0, 2^53), sorted: v / 2^53 is uniform over the grid.
 
-    With open_interval the value 0 is rejected as well (roots must stay
-    strictly inside (0, 1)).
+    Each pass draws the shortfall and merges it into the distinct values so
+    far, so a repeated draw (or a 0, rejected with open_interval because
+    roots must stay strictly inside (0, 1)) is made up by the next pass.
     """
-    seen: set[int] = set()
-    while len(seen) < k:
-        for v in rng.integers(0, _DYADIC, size=k - len(seen)):
-            if open_interval and v == 0:
-                continue
-            seen.add(int(v))
-    return sorted(seen)
+    vals = np.empty(0, dtype=np.int64)
+    while len(vals) < k:
+        draw = rng.integers(0, _DYADIC, size=k - len(vals))
+        if open_interval:
+            draw = draw[draw != 0]
+        vals = np.sort(np.concatenate([vals, draw]))
+        keep = np.ones(len(vals), dtype=bool)
+        keep[1:] = vals[1:] != vals[:-1]
+        vals = vals[keep]
+    return vals
 
 
 def uniform_points(n: int, rng: np.random.Generator, backend: str = FLOAT) -> np.ndarray:
@@ -99,7 +103,7 @@ def uniform_points(n: int, rng: np.random.Generator, backend: str = FLOAT) -> np
     if n < 1:
         raise ValueError("n must be at least 1")
     if backend == EXACT:
-        return np.array(_exact_unit_draws(n, rng), dtype=np.float64) / _DYADIC  # exact
+        return _exact_unit_draws(n, rng) / _DYADIC  # exact: every v < 2^53 is a float64
     pts = np.sort(rng.random(n))
     if np.all(pts[1:] != pts[:-1]):
         return pts
@@ -129,7 +133,8 @@ def sample_roots(model: RootModel, rng: np.random.Generator, backend: str = FLOA
     d = model.d
     if model.kind == UNIFORM:
         if backend == EXACT:
-            roots = [Fraction(v, _DYADIC) for v in _exact_unit_draws(d, rng, open_interval=True)]
+            draws = _exact_unit_draws(d, rng, open_interval=True).tolist()
+            roots = [Fraction(v, _DYADIC) for v in draws]
         else:
             roots = np.sort(rng.random(d))
             while len(np.unique(roots)) < d or roots[0] == 0.0:

@@ -4,7 +4,8 @@ Every trial draws its own RNG stream from the master seed (stream index =
 cell_index * trials + trial_index), runs one learner on one fresh random
 instance, and yields one CSV row.  ``backend`` names the draw mode
 (``distributions.EXACT`` or ``FLOAT``), which picks how the instance's roots
-and points are drawn; signs are evaluated exactly in either mode.  The row's
+and points are drawn; signs are evaluated exactly in either mode.  ``model``
+picks the root distribution of every learner's instances.  The row's
 ``correct`` says whether every label equals the ground truth that
 ``instances.true_labels`` reads off the instance's roots, which shares no
 code with the oracle's sign evaluation.
@@ -89,7 +90,7 @@ class ExperimentConfig:
     master_seed: int
     backend: str = FLOAT  # draw mode of roots and points
     alphas: tuple[float, ...] = ()  # batch learner only
-    model: str = UNIFORM  # sample_search only
+    model: str = UNIFORM  # root model of every learner's instances
     dirichlet_alpha: float = 1.0
     random_leading: bool = False
     out: Optional[str] = None
@@ -114,9 +115,9 @@ class ExperimentConfig:
                 batch.BatchParams(d=cell["d"], n=cell["n"], alpha=cell["alpha"])
 
     def root_model(self, d: int) -> RootModel:
-        """Roots of degree d: sample_search draws them from ``model``, the others uniformly."""
-        kind = self.model if self.learner == SAMPLE_SEARCH else UNIFORM
-        return RootModel(kind, d, self.dirichlet_alpha if kind == DIRICHLET else None)
+        """The distribution of a degree-d instance's roots."""
+        alpha = self.dirichlet_alpha if self.model == DIRICHLET else None
+        return RootModel(self.model, d, alpha)
 
     def cells(self) -> list[dict]:
         out = []
@@ -125,11 +126,9 @@ class ExperimentConfig:
                 if self.learner == BATCH:
                     for a in self.alphas:
                         out.append({"d": d, "n": n, "alpha": a})
-                elif self.learner == SAMPLE_SEARCH:
+                else:
                     alpha = self.dirichlet_alpha if self.model == DIRICHLET else ""
                     out.append({"d": d, "n": n, "alpha": alpha})
-                else:
-                    out.append({"d": d, "n": n, "alpha": ""})
         return out
 
     def to_json(self) -> dict:
@@ -251,7 +250,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             **{k: v for k, v in cell.items()},
             "learner": config.learner,
             "backend": config.backend,
-            "model": config.model if config.learner == SAMPLE_SEARCH else UNIFORM,
+            "model": config.model,
             "trials": len(chunk),
             "all_correct": all(r["correct"] for r in chunk),
             "mean_queries": float(totals.mean()),

@@ -8,25 +8,28 @@ single binary search per segment labels it.  Equal endpoint signs
 short-circuit the search: a monotone function whose endpoints share a sign
 (with sign(0) = +1) has that sign on the whole segment.
 
+No (point, order) query is ever asked twice, so the learner keeps no memo:
+a level asks about one order only, its segments are disjoint, and a
+segment's search asks its two endpoints, then only midpoints strictly inside
+a bracket that shrinks with every probe.
+
 The resulting worst-case query count is the assertable bound
 ``query_bound(d, n)``; no d-th order query is ever issued.
 
-``find_flip`` is the one monotone flip search of the package: it serves
-``binary_search_segment`` here and the per-gap search of ``sample_search``.
+``find_flip`` is the one monotone flip search of the package: it serves the
+segment search here and the per-gap search of ``sample_search``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .instances import Instance
 from .oracle import Oracle
-
-Segment = tuple[int, int]  # inclusive point-index range
 
 
 def segment_bound(d: int, level: int) -> int:
@@ -39,24 +42,6 @@ def query_bound(d: int, n: int) -> int:
     """Deterministic worst-case query count of learn_all for any instance."""
     log_term = math.ceil(math.log2(n)) + 2 if n > 1 else 2
     return sum((k * (k - 1) // 2 + 1) * log_term for k in range(1, d + 1))
-
-
-def partition_fixed_pattern(points: Sequence, higher_signs: Sequence[np.ndarray]) -> list[Segment]:
-    """Contiguous segments on which every provided sign vector is constant."""
-    n = len(points)
-    if n == 0:
-        return []
-    if not higher_signs:
-        return [(0, n - 1)]
-    stacked = np.vstack(higher_signs)
-    change = np.any(stacked[:, 1:] != stacked[:, :-1], axis=0)
-    segments = []
-    lo = 0
-    for b in np.flatnonzero(change):
-        segments.append((lo, int(b)))
-        lo = int(b) + 1
-    segments.append((lo, n - 1))
-    return segments
 
 
 def find_flip(ask: Callable[[int], int], a: int, b: int, s_a: int) -> int:
@@ -75,46 +60,6 @@ def find_flip(ask: Callable[[int], int], a: int, b: int, s_a: int) -> int:
     return a
 
 
-def binary_search_segment(
-    points: Sequence,
-    seg: Segment,
-    order: int,
-    oracle: Oracle,
-    memo: dict | None = None,
-) -> np.ndarray:
-    """Signs of the order-th derivative on a segment it is monotone on.
-
-    Queries the two endpoints; if they agree the interior is inferred for
-    free, otherwise the unique flip index is located by binary search.
-    """
-    lo, hi = seg
-    if hi < lo:
-        raise ValueError("empty segment")
-
-    def ask(idx: int) -> int:
-        if memo is not None:
-            key = (idx, order)
-            if key in memo:
-                return memo[key]
-            memo[key] = oracle.query(points[idx], order)
-            return memo[key]
-        return oracle.query(points[idx], order)
-
-    out = np.empty(hi - lo + 1, dtype=np.int8)
-    s_lo = ask(lo)
-    if hi == lo:
-        out[0] = s_lo
-        return out
-    s_hi = ask(hi)
-    if s_lo == s_hi:
-        out[:] = s_lo
-        return out
-    a = find_flip(ask, lo, hi, s_lo)
-    out[: a - lo + 1] = s_lo
-    out[a - lo + 1 :] = s_hi
-    return out
-
-
 @dataclass
 class IterativeResult:
     labels: np.ndarray
@@ -131,18 +76,33 @@ def learn_all(instance: Instance, oracle: Oracle) -> IterativeResult:
     d = instance.d
     if not oracle.qset.is_full() or oracle.d != d:
         raise ValueError("iterative learner needs orders 0..d-1")
-    points = instance.points
-    memo: dict = {}
+    xs = instance.points.tolist()  # Python floats: no numpy scalar per probe
+    n = len(xs)
+    query = oracle.query
+    changes = np.zeros(max(n - 1, 0), dtype=bool)  # a higher level's sign changes after i
     level_signs: dict[int, np.ndarray] = {}
     segment_counts: dict[int, int] = {}
     for order in range(d - 1, -1, -1):
-        higher = [level_signs[j] for j in range(order + 1, d)]
-        segments = partition_fixed_pattern(points, higher)
-        signs = np.empty(instance.n, dtype=np.int8)
-        for seg in segments:
-            signs[seg[0] : seg[1] + 1] = binary_search_segment(points, seg, order, oracle, memo)
+
+        def ask(i: int) -> int:
+            return query(xs[i], order)
+
+        signs = np.empty(n, dtype=np.int8)
+        ends = np.flatnonzero(changes).tolist() + [n - 1] if n else []
+        lo = 0
+        for hi in ends:  # the segment lo..hi, on which this order is monotone
+            s_lo = ask(lo)
+            s_hi = ask(hi) if hi > lo else s_lo
+            if s_lo == s_hi:
+                signs[lo : hi + 1] = s_lo
+            else:
+                a = find_flip(ask, lo, hi, s_lo)
+                signs[lo : a + 1] = s_lo
+                signs[a + 1 : hi + 1] = s_hi
+            lo = hi + 1
+        changes |= signs[1:] != signs[:-1]
         level_signs[order] = signs
-        segment_counts[order] = len(segments)
+        segment_counts[order] = len(ends)
     return IterativeResult(
         labels=level_signs[0], level_signs=level_signs, segment_counts=segment_counts
     )

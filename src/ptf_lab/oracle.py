@@ -1,8 +1,13 @@
 """Hidden-classifier query oracle with per-order and per-round accounting.
 
 The oracle answers sign queries about a hidden polynomial and its
-derivatives, and counts every answered query.  It never caches: repeated
-queries are re-counted, so honest memoization is the learner's job.
+derivatives, and counts every answered query.  It never caches: a repeated
+query is counted again.  The iterative and sample_search learners never
+repeat one (the iterative learner's segments are disjoint, and
+sample_search's flip searches probe only points strictly between two it has
+asked about), so neither keeps a memo.  The batch learner draws a batch
+again when its coverage falls short, and the points it asks about again are
+counted again.
 
 There are two request shapes.  ``query(x, order)`` asks one question and
 costs 1 query and 1 round.  ``query_batch(xs, orders)`` asks question i
@@ -10,7 +15,8 @@ about ``xs[i]`` and ``orders[i]`` and returns an int8 array of answers; a
 batch of m requests costs m queries but only 1 round.  It evaluates each
 order's points with one ``eval_sign_many`` call, whose signs equal
 ``eval_sign``'s point by point, so a batch answers exactly what the same
-requests asked one by one would.
+requests asked one by one would.  The requests are grouped by one mask per
+allowed order; an order outside the query set leaves a request in no group.
 """
 
 from __future__ import annotations
@@ -112,16 +118,20 @@ class Oracle:
         if len(xs) != len(orders):
             raise ValueError("xs and orders must have equal length")
         orders = np.asarray(orders, dtype=np.int64)
-        present, counts = np.unique(orders, return_counts=True)
-        present = present.tolist()
-        for order in present:
-            if order not in self.qset.allowed_orders:
-                raise DisallowedOrder(f"order {order} not in query set")
+        allowed = sorted(self.qset.allowed_orders)
+        asked = []  # (order, mask, count) of each allowed order the batch asks about
+        for order in allowed:
+            sel = orders == order
+            count = int(np.count_nonzero(sel))
+            if count:
+                asked.append((order, sel, count))
+        if sum(count for *_, count in asked) != len(orders):
+            bad = orders[~np.isin(orders, allowed)][0]
+            raise DisallowedOrder(f"order {bad} not in query set")
         answers = np.empty(len(orders), dtype=np.int8)
-        if present:
+        if asked:
             xs = np.asarray(xs)
-            for order in present:
-                sel = orders == order
+            for order, sel, _ in asked:
                 answers[sel] = self._derivs[order].eval_sign_many(xs[sel])
-            self.ledger.record(present, counts.tolist())
+            self.ledger.record([a[0] for a in asked], [a[2] for a in asked])
         return answers

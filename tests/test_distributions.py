@@ -7,6 +7,7 @@ import pytest
 
 from ptf_lab.distributions import (
     EXACT,
+    _exact_unit_draws,
     ComputationTooLarge,
     RootModel,
     Seed,
@@ -20,7 +21,7 @@ from ptf_lab.distributions import (
 )
 from ptf_lab.polynomial import from_roots
 
-from util import ks_statistic_uniform, trial_rng
+from util import ks_statistic_uniform, set_loop_unit_draws, trial_rng
 
 
 class TestUniformPoints:
@@ -79,6 +80,42 @@ class TestUniformPointsCollisions:
         pts = uniform_points(5000, got_rng)
         assert np.array_equal(pts, unique_path_points(5000, ref_rng))
         assert got_rng.random() == ref_rng.random()
+
+
+class RepeatingFirstIntegers:
+    """A generator whose first integers(...) draw repeats a value and holds a 0."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def integers(self, low, high, size):
+        out = self.rng.integers(low, high, size=size)
+        if not self.sizes:
+            out[-1], out[1] = out[0], 0
+        self.sizes.append(size)
+        return out
+
+
+class TestExactUnitDraws:
+    @pytest.mark.parametrize("open_interval", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 6, 256, 4096])
+    def test_matches_set_loop(self, k, open_interval):
+        for seed in range(100):
+            got_rng, ref_rng = trial_rng(seed, k), trial_rng(seed, k)
+            got = _exact_unit_draws(k, got_rng, open_interval)
+            assert got.tolist() == set_loop_unit_draws(k, ref_rng, open_interval)
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("open_interval", [False, True])
+    def test_repeat_and_zero_are_drawn_again(self, open_interval):
+        k = 50
+        got_rng, ref_rng = RepeatingFirstIntegers(8), RepeatingFirstIntegers(8)
+        got = _exact_unit_draws(k, got_rng, open_interval)
+        assert got.tolist() == set_loop_unit_draws(k, ref_rng, open_interval)
+        assert got_rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
+        assert got_rng.sizes == [k, 2 if open_interval else 1]  # the shortfall, drawn again
+        assert len(got) == k and np.all(np.diff(got) > 0)
+        assert (got[0] == 0) != open_interval
 
 
 class TestRootModels:

@@ -13,6 +13,9 @@ learner.  The values were recorded before the integer sign kernel replaced
 explicit alpha in their name, one of which runs two outer iterations per
 trial, were recorded before the batch learner's bookkeeping moved from
 ``np.unique``/``np.delete`` and binary search to boolean masks and counts.
+The two iterative cells at n = 256, the exact-iterative benchmark's shape,
+were recorded before the exact draws became array passes and the iterative
+learner lost its memo.
 """
 
 import json
@@ -33,6 +36,9 @@ CELLS = {
         learner=IT, d=3, n=64, backend=EXACT, trials=4, seed=103, random_leading=True
     ),
     "iterative-exact-d5-n40": dict(learner=IT, d=5, n=40, backend=EXACT, trials=4, seed=104),
+    # the exact-iterative benchmark's shape
+    "iterative-exact-d2-n256": dict(learner=IT, d=2, n=256, backend=EXACT, trials=4, seed=106),
+    "iterative-exact-d6-n256": dict(learner=IT, d=6, n=256, backend=EXACT, trials=4, seed=105),
     "batch-exact-d1-n1024": dict(
         learner=BA, d=1, n=1024, backend=EXACT, trials=4, seed=201, alphas=(0.5,)
     ),
@@ -125,6 +131,18 @@ EXPECTED = {
         (7, (7,), 7, True),
         (2, (2,), 2, True),
         (7, (7,), 7, True),
+    ],
+    'iterative-exact-d2-n256': [
+        (25, (15, 10), 25, True),
+        (29, (19, 10), 29, True),
+        (28, (18, 10), 28, True),
+        (27, (17, 10), 27, True),
+    ],
+    'iterative-exact-d6-n256': [
+        (184, (52, 42, 37, 25, 18, 10), 184, True),
+        (178, (54, 41, 33, 21, 19, 10), 178, True),
+        (190, (52, 48, 36, 27, 17, 10), 190, True),
+        (190, (53, 46, 37, 26, 18, 10), 190, True),
     ],
     'iterative-exact-d3-n64-lead': [
         (42, (20, 14, 8), 42, True),

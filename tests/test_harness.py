@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptf_lab import cli, harness
-from ptf_lab.distributions import RootModel, Seed, random_instance
+from ptf_lab import batch, cli, harness, iterative
+from ptf_lab.distributions import EXACT, RootModel, Seed, random_instance
 from ptf_lab.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -144,6 +144,36 @@ class TestRun:
             assert 1 <= row["iterations"] <= row["loop_rounds"]
         other = run(small_config()).rows[0]
         assert other["iterations"] == other["loop_rounds"] == other["final_round"] == ""
+
+    @pytest.mark.parametrize("learner", [harness.ITERATIVE, harness.BATCH])
+    def test_model_reaches_every_learner(self, tmp_path, learner):
+        # exact Dirichlet(0.2) roots at d = 4; each row is replayed from its
+        # stream on a Dirichlet instance and must show the same query count
+        d, n, master = 4, 1024, 7
+        out = tmp_path / "dir.csv"
+        kw = dict(alphas=(0.5,)) if learner == harness.BATCH else {}
+        cfg = small_config(
+            learner=learner, backend=EXACT, model="dirichlet", dirichlet_alpha=0.2,
+            d_values=(d,), n_values=(n,), trials=10, master_seed=master, out=str(out), **kw,
+        )
+        rows = run(cfg).rows
+        model = RootModel("dirichlet", d, 0.2)
+        for row in rows:
+            assert row["correct"] and row["case"] == "", row
+            rng = Seed(master, row["seed_stream"]).rng()
+            inst = random_instance(n, model, rng, backend=EXACT)
+            oracle = Oracle(inst.hidden, QuerySet.full(d))
+            if learner == harness.BATCH:
+                params = batch.BatchParams(d=d, n=n, alpha=0.5)
+                res = batch.learn_all(inst, oracle, params, rng)
+                assert row["iterations"] == res.iterations <= params.t
+                assert row["rounds"] == row["loop_rounds"] + row["final_round"]
+            else:
+                iterative.learn_all(inst, oracle)
+                assert row["queries_total"] <= iterative.query_bound(d, n)
+            assert row["queries_total"] == oracle.ledger.total
+        cell = json.loads(out.with_suffix(".json").read_text())["cells"][0]
+        assert cell["model"] == "dirichlet" and cell["all_correct"]
 
     def test_small_alpha_dirichlet_sweep_writes_every_row(self, tmp_path):
         # float Dirichlet(0.1) gaps collide at 275 of 2,000 streams of seed 99;

@@ -1,84 +1,99 @@
-"""Level-by-level learner tests: partitioning, search, bounds, soundness."""
+"""Level-by-level learner tests: segment search, query order, bounds, soundness."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ptf_lab.distributions import EXACT, FLOAT, RootModel, random_instance
 from ptf_lab.instances import Instance, true_labels
-from ptf_lab.iterative import (
-    binary_search_segment,
-    learn_all,
-    partition_fixed_pattern,
-    query_bound,
-    segment_bound,
-)
+from ptf_lab.iterative import learn_all, query_bound, segment_bound
 from ptf_lab.oracle import Oracle, QuerySet
 from ptf_lab.polynomial import Polynomial, from_roots
 
-from util import full_oracle, make_instance, true_signs
+from util import full_oracle, make_instance, trial_rng, true_signs
 
 F = Fraction
 
 
+class RecordingOracle(Oracle):
+    """An oracle that keeps every (x, order) it is asked, in order."""
+
+    def __init__(self, instance):
+        super().__init__(instance.hidden, QuerySet.full(instance.d))
+        self.asked = []
+
+    def query(self, x, order):
+        self.asked.append((x, order))
+        return super().query(x, order)
+
+
 class TestPartition:
+    """Segments of a level: maximal runs on which every higher level's sign is constant."""
+
     def test_single_sign_change(self):
-        signs = [np.array([1, 1, -1, -1], dtype=np.int8)]
-        assert partition_fixed_pattern(range(4), signs) == [(0, 1), (2, 3)]
+        # first derivative of x^2 - 3x + 2 is 2x - 3: negative at 1, positive at 2..4
+        inst = Instance(points=(1, 2, 3, 4), hidden=Polynomial([2, -3, 1]), d=2, roots=(1, 2))
+        oracle = RecordingOracle(inst)
+        res = learn_all(inst, oracle)
+        assert res.segment_counts[0] == 2
+        assert [x for x, order in oracle.asked if order == 0] == [1, 2, 4]  # 0..0, 1..3
 
     def test_all_equal_is_one_segment(self):
-        signs = [np.ones(6, dtype=np.int8), np.ones(6, dtype=np.int8)]
-        assert partition_fixed_pattern(range(6), signs) == [(0, 5)]
+        # every derivative of (x-1)(x-2)(x-3) is positive on 10..15
+        roots = (1, 2, 3)
+        inst = Instance(points=tuple(range(10, 16)), hidden=from_roots(roots), d=3, roots=roots)
+        res = learn_all(inst, full_oracle(inst))
+        assert res.segment_counts == {2: 1, 1: 1, 0: 1}
 
     def test_no_levels_is_one_segment(self):
-        assert partition_fixed_pattern(range(5), []) == [(0, 4)]
+        for d in (1, 4):
+            inst = make_instance(64, d, seed=d)
+            assert learn_all(inst, full_oracle(inst)).segment_counts[d - 1] == 1
 
     def test_cubic_on_equispaced_points(self):
-        # hidden (x-9/4)(x-9/2)(x-27/4); the sign vectors of its first and
-        # second derivatives at the integers 1..8 split them into 4 segments
-        # (the cubic with roots 1/4, 1/2, 3/4 at k/9, scaled by 9 so that
-        # float64 holds the points)
+        # hidden (x-9/4)(x-9/2)(x-27/4) at the integers 1..8 (the cubic with
+        # roots 1/4, 1/2, 3/4 at k/9, scaled by 9 so that float64 holds the
+        # points).  Levels run d-1 down to 0, segments left to right, and each
+        # segment asks lo, then hi, then the midpoints of its flip search.
         roots = (F(9, 4), F(9, 2), F(27, 4))
-        points = list(range(1, 9))
-        inst = Instance(points=tuple(points), hidden=from_roots(roots), d=3, roots=roots)
-        higher = [true_signs(inst, 1), true_signs(inst, 2)]
-        segs = partition_fixed_pattern(points, higher)
-        assert segs == [(0, 2), (3, 3), (4, 4), (5, 7)]
-        assert len(segs) <= segment_bound(3, 0) == 4
+        inst = Instance(points=tuple(range(1, 9)), hidden=from_roots(roots), d=3, roots=roots)
+        oracle = RecordingOracle(inst)
+        res = learn_all(inst, oracle)
+        level2 = [(1, 2), (8, 2), (4, 2), (6, 2), (5, 2)]  # one segment 0..7
+        level1 = [(1, 1), (4, 1), (2, 1), (3, 1), (5, 1), (8, 1), (6, 1)]  # 0..3, 4..7
+        level0 = [(1, 0), (3, 0), (2, 0), (4, 0), (5, 0), (6, 0), (8, 0), (7, 0)]
+        assert oracle.asked == level2 + level1 + level0  # 0..2, 3..3, 4..4, 5..7
+        assert res.segment_counts == {2: 1, 1: 2, 0: 4}
+        assert res.segment_counts[0] <= segment_bound(3, 0) == 4
+        assert np.array_equal(res.labels, true_labels(inst))
 
 
 class TestBinarySearchSegment:
+    """The search on one segment, on which the level's derivative is monotone."""
+
     def test_flip_located_with_few_queries(self):
         # first derivative of x^2 - 3x + 2 is 2x - 3: negative then positive
         inst = Instance(points=(1, 2, 3, 4), hidden=Polynomial([2, -3, 1]), d=2, roots=(1, 2))
         oracle = full_oracle(inst)
-        signs = binary_search_segment(inst.points, (0, 3), 1, oracle)
-        assert list(signs) == [-1, 1, 1, 1]
-        assert oracle.ledger.total == 3  # endpoints plus one midpoint
-        assert oracle.ledger.total <= 2 + 2  # stated budget: 2 + ceil(log2 3)
+        res = learn_all(inst, oracle)
+        assert list(res.level_signs[1]) == [-1, 1, 1, 1]
+        assert oracle.ledger.per_order[1] == 3  # endpoints plus one midpoint
+        assert oracle.ledger.per_order[1] <= 2 + 2  # stated budget: 2 + ceil(log2 3)
 
     def test_equal_endpoints_cost_two(self):
         inst = Instance(points=(3, 4, 5, 6, 7), hidden=Polynomial([2, -3, 1]), d=2, roots=(1, 2))
         oracle = full_oracle(inst)
-        signs = binary_search_segment(inst.points, (0, 4), 0, oracle)
-        assert list(signs) == [1] * 5
-        assert oracle.ledger.total == 2
+        res = learn_all(inst, oracle)
+        assert list(res.labels) == [1] * 5
+        assert oracle.ledger.per_order == {1: 2, 0: 2}
 
     def test_single_point_costs_one(self):
         inst = Instance(points=(3,), hidden=Polynomial([2, -3, 1]), d=2, roots=(1, 2))
         oracle = full_oracle(inst)
-        signs = binary_search_segment(inst.points, (0, 0), 0, oracle)
-        assert list(signs) == [1]
-        assert oracle.ledger.total == 1
-
-    def test_memo_prevents_requery(self):
-        inst = Instance(points=(1, 2, 3, 4), hidden=Polynomial([2, -3, 1]), d=2, roots=(1, 2))
-        oracle = full_oracle(inst)
-        memo = {}
-        binary_search_segment(inst.points, (0, 3), 1, oracle, memo)
-        before = oracle.ledger.total
-        binary_search_segment(inst.points, (0, 3), 1, oracle, memo)
-        assert oracle.ledger.total == before
+        res = learn_all(inst, oracle)
+        assert list(res.labels) == [1]
+        assert oracle.ledger.per_order == {1: 1, 0: 1}
 
 
 class TestLearnAll:
@@ -138,3 +153,20 @@ class TestLearnAll:
             res = learn_all(inst, oracle)
             assert np.array_equal(res.labels, true_labels(inst))
             assert oracle.ledger.total <= query_bound(d, 40)
+
+    @pytest.mark.parametrize("backend", [EXACT, FLOAT])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_no_query_is_asked_twice(self, backend, d):
+        models = [RootModel("uniform", d)]
+        if backend == EXACT:
+            models.append(RootModel("dirichlet", d, 0.2))
+        for model in models:
+            for n in (1, 2, 3, 256):
+                for seed in range(5):
+                    rng = trial_rng(seed, 100 * d + n)
+                    inst = random_instance(n, model, rng, backend=backend, random_leading=True)
+                    oracle = RecordingOracle(inst)
+                    res = learn_all(inst, oracle)
+                    assert len(set(oracle.asked)) == len(oracle.asked), (model, n, seed)
+                    assert len(oracle.asked) == oracle.ledger.total <= query_bound(d, n)
+                    assert np.array_equal(res.labels, true_labels(inst))

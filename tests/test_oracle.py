@@ -75,6 +75,15 @@ class TestQueryBatch:
         assert o.ledger.total == 0
         assert o.ledger.rounds == 0
 
+    def test_order_outside_query_set_rejects_batch(self):
+        # 1 lies between the allowed orders 0 and 2; -1 and 10**12 lie outside both
+        o = Oracle(Polynomial([0, 0, 0, 1]), QuerySet(3, frozenset({0, 2})))
+        for bad in (1, -1, 10**12):
+            with pytest.raises(DisallowedOrder, match=f"order {bad} "):
+                o.query_batch([1, 2, 3], [0, bad, 2])
+        assert o.ledger.total == 0
+        assert o.ledger.rounds == 0
+
     def test_vectorized_path_matches_scalar(self):
         # hidden x^3 - 3x: order 0 vanishes at 0, order 1 at -1 and 1, order 2
         # at 0, and on floats these are exact zeros as well

@@ -21,6 +21,18 @@ def trial_rng(master: int, stream: int = 0) -> np.random.Generator:
     return Seed(master, stream).rng()
 
 
+def set_loop_unit_draws(k: int, rng, open_interval: bool = False) -> list[int]:
+    """Reference for ``distributions._exact_unit_draws``: a Python set filled
+    one integer at a time, drawing the shortfall until it holds k values."""
+    seen: set[int] = set()
+    while len(seen) < k:
+        for v in rng.integers(0, 2**53, size=k - len(seen)):
+            if open_interval and v == 0:
+                continue
+            seen.add(int(v))
+    return sorted(seen)
+
+
 def make_instance(n, d, seed, backend="float", model="uniform", alpha=None):
     rng = trial_rng(seed)
     return random_instance(n, RootModel(model, d, alpha), rng, backend=backend)
