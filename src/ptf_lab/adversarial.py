@@ -4,9 +4,9 @@ A witness is a point set, a base polynomial, and one alternative polynomial
 per flippable point.  The alternative agrees with the base at every other
 point on every declared query order but disagrees on the flipped point's
 label, so no learner restricted to those query orders can ever pin that
-label down from the rest.  All univariate witnesses are verified in exact
-rational/integer arithmetic; the two-variable construction uses floats with
-an explicit inconclusive zone instead (its points are transcendental).
+label down from the rest.  Every witness is verified in exact rational/integer arithmetic, the
+two-variable construction included: its points and rotations are rational
+points of the unit circle.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import numpy as np
 from .batch import infer_labels
 from .polynomial import Polynomial, from_roots, sign_pattern
 
-DEFAULT_BIT_BUDGET = 2**20
+BIT_BUDGET = 2**20
+MAX_HALVINGS = 256
 
 
 class SizeLimit(ValueError):
@@ -30,10 +31,6 @@ class SizeLimit(ValueError):
 
 class EpsilonSearchFailed(RuntimeError):
     """No verifying epsilon found within the halving budget."""
-
-
-class ToleranceBreach(RuntimeError):
-    """A float check landed inside the inconclusive zone around zero."""
 
 
 class WitnessVerificationError(AssertionError):
@@ -124,17 +121,17 @@ def interval_witness(n: int) -> Witness:
     )
 
 
-def _missing_derivative_points(d: int, n: int, bit_budget: int) -> list[int]:
+def _missing_derivative_points(d: int, n: int) -> list[int]:
     s = [math.factorial(d)]
     for _ in range(n - 1):
         nxt = s[-1] ** 3 - 1
-        if nxt.bit_length() > bit_budget:
-            raise SizeLimit(f"point exceeds {bit_budget} bits")
+        if nxt.bit_length() > BIT_BUDGET:
+            raise SizeLimit(f"point exceeds {BIT_BUDGET} bits")
         s.append(nxt)
     return s
 
 
-def missing_derivative_witness(d: int, n: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> Witness:
+def missing_derivative_witness(d: int, n: int) -> Witness:
     """Witness that removing access to order d-1 makes inference impossible.
 
     Points grow triple-exponentially (s_1 = d!, s_j = s_{j-1}^3 - 1).  The
@@ -148,7 +145,7 @@ def missing_derivative_witness(d: int, n: int, bit_budget: int = DEFAULT_BIT_BUD
         raise ValueError("construction needs d >= 3")
     if not 2 <= n <= 6:
         raise ValueError("n must be in 2..6 (points grow triple-exponentially)")
-    s = _missing_derivative_points(d, n, bit_budget)
+    s = _missing_derivative_points(d, n)
     base = Polynomial([0] * d + [1])
     alternatives = []
     for j in range(1, n):
@@ -186,7 +183,7 @@ def linear_witness_at(d: int, roots: Sequence[Fraction], eps: Fraction) -> Witne
     )
 
 
-def linear_lower_witness(d: int, roots: Sequence, max_halvings: int = 256) -> Witness:
+def linear_lower_witness(d: int, roots: Sequence) -> Witness:
     """Witness of size d with all query orders available, built from a base
     with d simple negative roots.
 
@@ -203,121 +200,108 @@ def linear_lower_witness(d: int, roots: Sequence, max_halvings: int = 256) -> Wi
     if roots[-1] >= 0:
         raise ValueError("roots must all be negative")
     eps = min(b - a for a, b in zip(roots, roots[1:])) / 3
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         w = linear_witness_at(d, roots, eps)
         try:
             verify_witness(w)
             return w
         except WitnessVerificationError:
             eps = eps / 2
-    raise EpsilonSearchFailed(f"no verifying epsilon after {max_halvings} halvings")
+    raise EpsilonSearchFailed(f"no verifying epsilon after {MAX_HALVINGS} halvings")
 
 
 @dataclass
 class MultivariateReport:
-    """Float verification of the two-variable quadratic construction."""
+    """Exact verification of the two-variable quadratic construction.
+
+    ``c1``, ``c2`` and ``epsilon`` are the rationals the checks ran on.
+    """
 
     n: int
-    c1: float
-    c2: float
-    epsilon: float
-    off_diag_signs: tuple[int, ...]  # per-alternative Hessian off-diagonal sign
+    c1: Fraction
+    c2: Fraction
+    epsilon: Fraction
     base_choice: str  # "h" (negative off-diagonal) or "h_prime" (positive)
     agreeing: int  # alternatives whose off-diagonal matches the chosen base
-    min_margin: float  # smallest |checked quantity| / scale seen
 
     def verified(self) -> bool:
         return self.agreeing * 2 >= self.n
 
 
-def _rotated_quadratic(theta: float, c1: float, c2: float) -> np.ndarray:
-    """Coefficient matrix [[xx, xy], [xy, yy]] plus constant for
-    f(R_theta p) - c2 (|p|^2 - 1) where f(u, v) = u v - c1 v^2."""
-    ct, st = math.cos(theta), math.sin(theta)
+def _rational(value: float) -> Fraction:
+    return Fraction(value).limit_denominator(10**6)
+
+
+def _unit_point(angle: float) -> tuple[Fraction, Fraction]:
+    """Rational point ((1 - t^2)/(1 + t^2), 2t/(1 + t^2)) near the given
+    angle on the unit circle, with t a rational close to tan(angle/2)."""
+    t = _rational(math.tan(angle / 2))
+    return (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+
+
+def _rotated_quadratic(theta: float, c1: Fraction, c2: Fraction) -> tuple[Fraction, ...]:
+    """(xx, xy, yy) with f(R p) - c2 (|p|^2 - 1) = xx x^2 + 2 xy x y + yy y^2 + c2,
+    where f(u, v) = u v - c1 v^2 and R is the rational rotation near theta."""
+    ct, st = _unit_point(theta)
     # u = x ct - y st, v = x st + y ct
     xx = ct * st - c1 * st * st - c2
     yy = -st * ct - c1 * ct * ct - c2
-    xy = (ct * ct - st * st) / 2 - c1 * st * ct  # coefficient of xy is 2*xy
-    return np.array([[xx, xy], [xy, yy]])
+    xy = (ct * ct - st * st) / 2 - c1 * st * ct
+    return xx, xy, yy
 
 
-def _quad_eval(mat: np.ndarray, const: float, x: float, y: float) -> float:
-    return mat[0, 0] * x * x + 2 * mat[0, 1] * x * y + mat[1, 1] * y * y + const
-
-
-def multivariate_witness(n: int, tol: float = 1e-9) -> MultivariateReport:
+def multivariate_witness(n: int) -> MultivariateReport:
     """Verify that label, gradient, and Hessian sign queries cannot separate
     the two-variable construction's alternatives from its base.
 
-    Points sit on the first-quadrant unit arc at angles pi*i/(2(n+1)).  Each
+    Points sit on the first-quadrant unit arc near angles pi*i/(2(n+1)).  Each
     alternative is a rotated copy of u v - c1 v^2 (plus a multiple of
     x^2 + y^2 - 1 that vanishes on the arc) whose thin positive sector
-    contains exactly one sample point.  Checks are float comparisons with an
-    inconclusive zone of tol around zero; any check landing inside it raises
-    ToleranceBreach rather than passing silently.
+    contains exactly one sample point.  Points, rotations and constants are
+    rationals picked with floats; every sign is then checked exactly, and a
+    zero fails the strict claim it is checked against.
     """
     if not 2 <= n <= 64:
         raise ValueError("n must be in 2..64")
-    angles = [math.pi * i / (2 * (n + 1)) for i in range(1, n + 1)]
-    pts = [(math.cos(a), math.sin(a)) for a in angles]
-    eps = min(min(abs(x / y), abs(y / x)) for x, y in pts)
-    c1 = 1.0 / math.tan(math.pi / (2 * (n + 1)))
-    c2 = c1 * c1 + c1 + 1.0
-
-    def checked_sign(value: float, scale: float, what: str) -> int:
-        if abs(value) <= tol * scale:
-            raise ToleranceBreach(f"{what} = {value} lies within tolerance of 0")
-        return -1 if value < 0 else 1
+    pts = [_unit_point(math.pi * i / (2 * (n + 1))) for i in range(1, n + 1)]
+    if any(x * x + y * y != 1 for x, y in pts):
+        raise WitnessVerificationError("sample point off the unit circle")
+    eps = min(min(x / y, y / x) for x, y in pts)
+    c1 = _rational(1 / math.tan(math.pi / (2 * (n + 1))))
+    c2 = c1 * c1 + c1 + 1
 
     # base hypotheses h (off-diagonal -eps) and h' (+eps) are all-negative on
     # the sample, with negative partials and Hessian diagonals
-    for sgn_eps in (-1.0, 1.0):
+    for off in (-eps, eps):
         for x, y in pts:
-            val = -x * x - y * y + sgn_eps * eps * x * y
-            if checked_sign(val, 1.0, "base value") != -1:
+            if not -x * x - y * y + off * x * y < 0:
                 raise WitnessVerificationError("base hypothesis not negative on sample")
-            gx = -2 * x + sgn_eps * eps * y
-            gy = -2 * y + sgn_eps * eps * x
-            if checked_sign(gx, 1.0, "base dx") != -1 or checked_sign(gy, 1.0, "base dy") != -1:
+            if not (-2 * x + off * y < 0 and -2 * y + off * x < 0):
                 raise WitnessVerificationError("base gradient not negative on sample")
 
-    off_signs = []
-    min_margin = math.inf
-    scale = c2  # dominant coefficient magnitude
+    negatives = positives = 0
     for i in range(1, n + 1):
         theta = -math.pi / (4 * (n + 1)) - math.pi * (i - 1) / (2 * (n + 1))
-        mat = _rotated_quadratic(theta, c1, c2)
+        xx, xy, yy = _rotated_quadratic(theta, c1, c2)
         for j, (x, y) in enumerate(pts, start=1):
-            val = _quad_eval(mat, c2, x, y)
-            min_margin = min(min_margin, abs(val) / scale)
-            want = 1 if j == i else -1
-            if checked_sign(val, scale, f"h_{i}({j})") != want:
+            val = xx * x * x + 2 * xy * x * y + yy * y * y + c2
+            if not (val > 0 if j == i else val < 0):
                 raise WitnessVerificationError(f"alternative {i} has wrong sign at point {j}")
-            if j != i:
-                gx = 2 * (mat[0, 0] * x + mat[0, 1] * y)
-                gy = 2 * (mat[0, 1] * x + mat[1, 1] * y)
-                for g, name in ((gx, "dx"), (gy, "dy")):
-                    min_margin = min(min_margin, abs(g) / scale)
-                    if checked_sign(g, scale, f"{name} of h_{i} at {j}") != -1:
-                        raise WitnessVerificationError(
-                            f"alternative {i} gradient not negative at point {j}"
-                        )
-        for diag in (mat[0, 0], mat[1, 1]):
-            min_margin = min(min_margin, abs(diag) / scale)
-            if checked_sign(diag, scale, f"Hessian diagonal of h_{i}") != -1:
-                raise WitnessVerificationError(f"alternative {i} Hessian diagonal not negative")
-        off_signs.append(checked_sign(mat[0, 1], scale, f"Hessian off-diagonal of h_{i}"))
+            if j != i and not (xx * x + xy * y < 0 and xy * x + yy * y < 0):
+                raise WitnessVerificationError(
+                    f"alternative {i} gradient not negative at point {j}"
+                )
+        if not (xx < 0 and yy < 0):
+            raise WitnessVerificationError(f"alternative {i} Hessian diagonal not negative")
+        negatives += xy < 0
+        positives += xy > 0
 
-    negatives = sum(1 for s in off_signs if s == -1)
     base_choice = "h" if 2 * negatives >= n else "h_prime"
-    agreeing = negatives if base_choice == "h" else n - negatives
     return MultivariateReport(
         n=n,
         c1=c1,
         c2=c2,
         epsilon=eps,
-        off_diag_signs=tuple(off_signs),
         base_choice=base_choice,
-        agreeing=agreeing,
-        min_margin=min_margin,
+        agreeing=negatives if base_choice == "h" else positives,
     )

@@ -37,6 +37,7 @@ EXACT = "exact"
 FLOAT = "float"
 
 _DYADIC = 2**53
+MAX_ENTROPY_TERMS = 10**7
 
 
 class ComputationTooLarge(ValueError):
@@ -152,7 +153,7 @@ def sample_roots(model: RootModel, rng: np.random.Generator, backend: str = FLOA
             while not np.all(np.diff(roots, prepend=0.0, append=1.0) > 0):
                 roots = np.cumsum(dirichlet_gaps(d, model.alpha, rng))[:d]
             roots = roots.tolist()
-    assert all(0 < r < 1 for r in roots), "roots must lie strictly inside (0,1)"
+    assert roots[0] > 0 and roots[-1] < 1, "roots must lie strictly inside (0,1)"
     return roots
 
 
@@ -192,7 +193,7 @@ def _compositions(total: int, parts: int):
         yield tuple(out)
 
 
-def dirichlet_multinomial_entropy(n: int, d: int, alpha: float, max_terms: int = 10**7) -> float:
+def dirichlet_multinomial_entropy(n: int, d: int, alpha: float) -> float:
     """Exact entropy (bits) of the interval-count distribution when gaps are
     Dirichlet(alpha): category counts of n draws into d+1 Dirichlet cells.
 
@@ -205,8 +206,8 @@ def dirichlet_multinomial_entropy(n: int, d: int, alpha: float, max_terms: int =
         raise ValueError("alpha must be positive")
     k = d + 1
     terms = math.comb(n + d, d)
-    if terms > max_terms:
-        raise ComputationTooLarge(f"{terms} compositions exceed the budget {max_terms}")
+    if terms > MAX_ENTROPY_TERMS:
+        raise ComputationTooLarge(f"{terms} compositions exceed the budget {MAX_ENTROPY_TERMS}")
     lg = math.lgamma
     base = lg(n + 1) + lg(k * alpha) - lg(n + k * alpha) - k * lg(alpha)
     entropy_nats = 0.0

@@ -227,9 +227,10 @@ class TestRun:
             parallel = run(cfg)
         finally:
             del os.environ["PTF_LAB_THREADS"]
-        for a, b in zip(serial.rows, parallel.rows):
-            assert a["queries_total"] == b["queries_total"]
-            assert a["seed_stream"] == b["seed_stream"]
+        def untimed(rows):
+            return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+
+        assert untimed(parallel.rows) == untimed(serial.rows)
 
     def test_higher_orders_flattened_to_json(self):
         result = run(small_config(d_values=(6,), n_values=(64,), trials=2))
@@ -420,6 +421,12 @@ class TestCli:
             ]
         )
         assert code == 0
+
+    def test_verify_lower_bounds_default_output(self, capsys):
+        # the default report, byte for byte, as checked in
+        fixture = Path(__file__).parent / "fixtures" / "verify_lower_bounds.jsonl"
+        assert cli.main(["verify-lower-bounds"]) == 0
+        assert capsys.readouterr().out.encode() == fixture.read_bytes()
 
     def test_compare_entropy_failure_exit(self, tmp_path, capsys):
         bad = {
