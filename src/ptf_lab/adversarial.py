@@ -81,18 +81,18 @@ def count_restricted_inferences(w: Witness) -> int:
     every order 0..d-1, so witnesses whose query set lacks one of those
     orders admit no inference at all.  For full-order witnesses each point
     in turn is withheld, the rest queried, and ``batch.infer_labels`` is
-    asked about it, with the points in x order and their patterns taken
-    under the base polynomial.
+    asked about it, with the points in x order and their patterns, taken
+    under the base polynomial, as a (d, points) block.
     """
     if not set(range(w.d)) <= set(w.query_orders):
         return 0
     by_x = sorted(w.points)
-    patterns = np.array([sign_pattern(w.base, x, w.d)[: w.d] for x in by_x], dtype=np.int8)
+    size = len(by_x)
+    patterns = np.array([sign_pattern(w.base, x, w.d)[: w.d] for x in by_x], dtype=np.int8).T
     count = 0
-    for r in range(len(by_x)):
-        queried = np.ones(len(by_x), dtype=bool)
-        queried[r] = False
-        count += bool(infer_labels(queried, np.delete(patterns, r, axis=0))[r])
+    for r in range(size):
+        at = np.delete(np.arange(size), r)
+        count += bool(infer_labels(at, size, np.delete(patterns, r, axis=1))[r])
     return count
 
 

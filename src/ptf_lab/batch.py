@@ -13,12 +13,18 @@ endpoints; no inference is attempted from partial patterns.  The rule lives
 in ``infer_labels``, which ``adversarial.count_restricted_inferences`` also
 uses to count the points a witness leaves inferable.
 
-The bookkeeping is a few linear array passes per batch, with no sorting or
-binary search: the sampled set is a boolean mask over the remaining points,
-and ``infer_labels`` labels every point of that mask from its gap between
-queried points, found by counting.  The generator is called exactly once per
-batch, as ``rng.integers(0, len(remaining), size=m)``, and nowhere else, so
-a seed fixes every batch.
+Each round is one block request, ``oracle.query_batch(xs, range(d))``, and
+its answer keeps the oracle's (orders x points) layout: row o holds the
+signs of derivative o at the batch's points in x order, and row 0 is their
+labels.  The bookkeeping is a few linear array passes per batch, with no
+sorting or binary search: the sampled set is a boolean mask over the
+remaining points, its positions come from one ``flatnonzero``, and
+``infer_labels`` labels every remaining point from its gap between queried
+points, found by counting.  While every point remains (the first outer
+iteration) the points are addressed directly, with no index array over all
+n of them.  The generator is called exactly once per batch, as
+``rng.integers(0, len(remaining), size=m)``, and nowhere else, so a seed
+fixes every batch.
 """
 
 from __future__ import annotations
@@ -78,15 +84,16 @@ class BatchParams:
         return (self.m - 2 * self.k) / self.m
 
 
-def infer_labels(queried: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    """Labels inferable from sandwiching queried points with equal patterns.
+def infer_labels(at: np.ndarray, size: int, patterns: np.ndarray) -> np.ndarray:
+    """Labels known from one round: the queried points' own and the sandwiched ones.
 
-    ``queried`` is a boolean mask over points in x order, and ``patterns``
-    holds the queried points' sign patterns in that order, one int8 row of
-    orders 0..d-1 each.  A point strictly between two adjacent queried
-    points whose patterns are identical gets their shared label (pattern
-    entry 0).  Returns an int8 array over all points: the inferred label,
-    or 0 at queried points and at points the rule cannot label.
+    The ``size`` points are in x order; ``at`` holds the increasing positions
+    of the queried ones, and ``patterns`` their sign patterns as a
+    (d, len(at)) int8 block, row o holding the signs of order o.  A point
+    strictly between two adjacent queried points whose patterns are
+    identical gets their shared label (row 0).  Returns an int8 array over
+    all points: the label at queried points, the inferred label, or 0 at
+    points the rule cannot label.
 
     Gap g holds the points with exactly g of the q queried points below
     them.  A per-gap table holds the shared label of each gap whose
@@ -94,15 +101,17 @@ def infer_labels(queried: np.ndarray, patterns: np.ndarray) -> np.ndarray:
     q included; repeating each entry by its gap's length labels every point.
     The cost is linear in the number of points, with no search.
     """
-    at = np.flatnonzero(queried)
     q = len(at)
+    labels = patterns[0]
+    equal = labels[1:] == labels[:-1]
+    for row in patterns[1:]:
+        equal &= row[1:] == row[:-1]
     table = np.zeros(q + 1, dtype=np.int8)
-    pair_equal = np.all(patterns[1:] == patterns[:-1], axis=1)
-    table[1:q] = np.where(pair_equal, patterns[:-1, 0], 0)
+    table[1:q] = np.where(equal, labels[:-1], 0)
     # gap g runs from queried point g - 1 (point 0 for g = 0) up to queried point g
-    labels = np.repeat(table, np.diff(at, prepend=0, append=len(queried)))
-    labels[at] = 0
-    return labels
+    known = np.repeat(table, np.diff(at, prepend=0, append=size))
+    known[at] = labels
+    return known
 
 
 @dataclass
@@ -111,14 +120,6 @@ class BatchResult:
     iterations: int  # outer iterations that ran a coverage loop
     loop_rounds: int  # total while-loop bodies (= pattern batches sent)
     final_round: bool  # whether the exhaustive final batch was sent
-
-
-def _query_patterns(instance: Instance, oracle: Oracle, idx: np.ndarray) -> np.ndarray:
-    """Full patterns for the given point indices, sent as one batch round."""
-    d = instance.d
-    xs = np.tile(np.asarray(instance.points)[idx], d)
-    orders = np.repeat(np.arange(d), len(idx))
-    return oracle.query_batch(xs, orders).reshape(d, len(idx)).T
 
 
 def learn_all(
@@ -132,15 +133,19 @@ def learn_all(
         raise ValueError("params do not match the instance")
     m, t, threshold = params.m, params.t, params.coverage_threshold
     guard = _LOOP_GUARD_FACTOR * 2
+    orders = range(d)
 
+    points = instance.points
     labels = np.zeros(n, dtype=np.int8)
-    remaining = np.arange(n)
+    remaining = slice(None)  # every point, or the sorted positions of those left
     iterations = 0
     loop_rounds = 0
     final_round = False
 
     for _ in range(t):
-        if len(remaining) <= m:
+        xs = points[remaining]
+        size = len(xs)
+        if size <= m:
             break
         iterations += 1
         bodies = 0
@@ -148,23 +153,23 @@ def learn_all(
             bodies += 1
             if bodies > guard:
                 raise NonTermination(f"coverage loop exceeded {guard} batches")
-            hit = np.zeros(len(remaining), dtype=bool)
-            hit[rng.integers(0, len(remaining), size=m)] = True
-            queried_idx = remaining[hit]
-            patterns = _query_patterns(instance, oracle, queried_idx)
+            hit = np.zeros(size, dtype=bool)
+            hit[rng.integers(0, size, size=m)] = True
+            at = np.flatnonzero(hit)
+            known = infer_labels(at, size, oracle.query_batch(xs[at], orders))
             loop_rounds += 1
-            inferred = infer_labels(hit, patterns)
-            unqueried = len(remaining) - len(queried_idx)
-            cov = 1.0 if unqueried == 0 else np.count_nonzero(inferred) / unqueried
+            unqueried = size - len(at)
+            inferred = np.count_nonzero(known) - len(at)
+            cov = 1.0 if unqueried == 0 else inferred / unqueried
             if cov >= threshold:
                 break
-        labels[remaining] = inferred  # 0 where still unknown, set by a later batch
-        labels[queried_idx] = patterns[:, 0]
-        remaining = remaining[(inferred == 0) & ~hit]
+        labels[remaining] = known  # 0 where still unknown, set by a later batch
+        unknown = np.flatnonzero(known == 0)
+        remaining = unknown if isinstance(remaining, slice) else remaining[unknown]
 
-    if len(remaining) > 0:
-        patterns = _query_patterns(instance, oracle, remaining)
-        labels[remaining] = patterns[:, 0]
+    xs = points[remaining]
+    if len(xs) > 0:
+        labels[remaining] = oracle.query_batch(xs, orders)[0]
         final_round = True
 
     return BatchResult(

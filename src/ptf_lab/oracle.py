@@ -10,13 +10,13 @@ again when its coverage falls short, and the points it asks about again are
 counted again.
 
 There are two request shapes.  ``query(x, order)`` asks one question and
-costs 1 query and 1 round.  ``query_batch(xs, orders)`` asks question i
-about ``xs[i]`` and ``orders[i]`` and returns an int8 array of answers; a
-batch of m requests costs m queries but only 1 round.  It evaluates each
-order's points with one ``eval_sign_many`` call, whose signs equal
-``eval_sign``'s point by point, so a batch answers exactly what the same
-requests asked one by one would.  The requests are grouped by one mask per
-allowed order; an order outside the query set leaves a request in no group.
+costs 1 query and 1 round.  ``query_batch(xs, orders)`` asks a block: every
+order in ``orders`` at every point of ``xs``.  It returns an int8 array of
+shape (len(orders), len(xs)), row i holding the signs of derivative
+``orders[i]``, and costs len(xs) queries per order but only 1 round.  The
+block is one ``polynomial.eval_sign_block`` call, whose signs equal
+``eval_sign``'s entry by entry, so a block answers exactly what the same
+questions asked one by one would.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .polynomial import Polynomial, Scalar
+from .polynomial import Polynomial, Scalar, eval_sign_block
 
 
 class DisallowedOrder(Exception):
@@ -110,28 +110,17 @@ class Oracle:
         return ans
 
     def query_batch(self, xs: Sequence[Scalar], orders: Sequence[int]) -> np.ndarray:
-        """Answer sign(hidden^(orders[i]))(xs[i]) for every i as one round.
+        """Answer sign(hidden^(orders[i]))(xs[j]) as entry (i, j), in one round.
 
-        A bad order rejects the whole batch before anything is counted.  An
-        empty batch is free: no queries, no round.
+        A bad order rejects the whole block before anything is counted.  An
+        empty block (no points or no orders) is free: no queries, no round.
         """
-        if len(xs) != len(orders):
-            raise ValueError("xs and orders must have equal length")
-        orders = np.asarray(orders, dtype=np.int64)
-        allowed = sorted(self.qset.allowed_orders)
-        asked = []  # (order, mask, count) of each allowed order the batch asks about
-        for order in allowed:
-            sel = orders == order
-            count = int(np.count_nonzero(sel))
-            if count:
-                asked.append((order, sel, count))
-        if sum(count for *_, count in asked) != len(orders):
-            bad = orders[~np.isin(orders, allowed)][0]
-            raise DisallowedOrder(f"order {bad} not in query set")
-        answers = np.empty(len(orders), dtype=np.int8)
-        if asked:
-            xs = np.asarray(xs)
-            for order, sel, _ in asked:
-                answers[sel] = self._derivs[order].eval_sign_many(xs[sel])
-            self.ledger.record([a[0] for a in asked], [a[2] for a in asked])
+        orders = list(orders)
+        for order in orders:
+            if order not in self.qset.allowed_orders:
+                raise DisallowedOrder(f"order {order} not in query set")
+        if not (len(xs) and orders):
+            return np.empty((len(orders), len(xs)), dtype=np.int8)
+        answers = eval_sign_block([self._derivs[o] for o in orders], xs)
+        self.ledger.record(orders, [len(xs)] * len(orders))
         return answers

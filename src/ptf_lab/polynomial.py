@@ -30,11 +30,15 @@ above 2^1000 or whose float copy overflows gets an infinite bound, so its
 float Horner (which could overflow) never decides a sign.
 
 Sign evaluation is one kernel, a float filter in front of integer Horner
-(the adaptive-predicate pattern of Shewchuk, 1997).  ``eval_sign`` and
-``eval_sign_many`` return the sign of the float Horner value at a float
-point with |x| <= 1 when that value's magnitude exceeds ``_bound``; the true
-value then has the same sign.  (``eval_sign_many`` runs that Horner on a
-numpy copy of ``_floats``, made on its first call.)  Every other point --
+(the adaptive-predicate pattern of Shewchuk, 1997).  ``eval_sign`` returns
+the sign of the float Horner value at a float point with |x| <= 1 when that
+value's magnitude exceeds ``_bound``; the true value then has the same sign.
+``eval_sign_block`` does the same for a block of polynomials (rows) at an
+array of points (columns): one array Horner pass over the whole block, on a
+matrix of the rows' ``_floats`` padded with zeros above each row's degree,
+with each row certified by its own ``_bound``.  A leading zero leaves
+Horner's value exactly as without it, so a padded row's floats are its own.
+``eval_sign_many`` is the block's one-row case.  Every other point --
 uncertified, |x| > 1, or not a float (huge ints, ``Fraction``) -- gets
 integer Horner: at x = a/b (b > 0) the sign of
 sum(c_i a**i b**(deg-i)) = D * b**deg * p(x).  NaN and infinite points and
@@ -97,7 +101,7 @@ class Polynomial:
     degree -1).  ``degree`` is the highest index with a nonzero coefficient.
     """
 
-    __slots__ = ("coeffs", "degree", "_ints", "_den", "_floats", "_float_array", "_bound")
+    __slots__ = ("coeffs", "degree", "_ints", "_den", "_floats", "_bound")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         coeffs = list(coeffs)
@@ -161,30 +165,8 @@ class Polynomial:
         return self._exact_sign(x)
 
     def eval_sign_many(self, xs: Sequence[Scalar]) -> np.ndarray:
-        """``eval_sign`` at every point of xs, as an int8 array."""
-        xs = np.asarray(xs)
-        # the filter runs on float arrays inside [-1, 1] (NaN fails the test)
-        if xs.dtype != np.float64 or not (xs.size and np.abs(xs).max() <= 1.0):
-            return np.fromiter(map(self.eval_sign, xs.tolist()), dtype=np.int8, count=xs.size)
-        try:
-            cs = self._float_array
-        except AttributeError:  # made on the first array evaluation
-            cs = np.array(self._floats or (0.0,))
-            _set(self, "_float_array", cs)
-        if len(cs) == 1:
-            vals = np.full(xs.shape, cs[0])
-        else:  # Horner, one rounding per product and per sum
-            vals = xs * cs[-1]
-            vals += cs[-2]
-            for c in cs[-3::-1]:
-                vals *= xs
-                vals += c
-        signs = np.where(vals < 0, np.int8(-1), np.int8(1))
-        np.abs(vals, out=vals)
-        if vals.min() <= self._bound:
-            for i in np.flatnonzero(vals <= self._bound).tolist():
-                signs[i] = self._exact_sign(float(xs[i]))
-        return signs
+        """``eval_sign`` at every point of xs, as an int8 array: a one-row block."""
+        return eval_sign_block((self,), xs)[0]
 
     def derivative(self, order: int = 1) -> "Polynomial":
         """Formal derivative applied ``order`` times (order 0 returns self)."""
@@ -205,6 +187,35 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
+
+
+def eval_sign_block(polys: Sequence[Polynomial], xs: Sequence[Scalar]) -> np.ndarray:
+    """``polys[i].eval_sign(xs[j])`` as entry (i, j) of an int8 array."""
+    xs = np.asarray(xs)
+    # the filter runs on float arrays inside [-1, 1] (NaN fails the test)
+    if xs.dtype != np.float64 or not (xs.size and np.abs(xs).max() <= 1.0):
+        pts = xs.tolist()
+        signs = [p.eval_sign(x) for p in polys for x in pts]
+        return np.array(signs, dtype=np.int8).reshape(len(polys), len(pts))
+    width = max([1] + [len(p._floats) for p in polys])
+    cs = np.zeros((len(polys), width))
+    for row, p in zip(cs, polys):
+        row[: len(p._floats)] = p._floats
+    if width == 1:
+        vals = np.repeat(cs, len(xs), axis=1)
+    else:  # Horner, one rounding per product and per sum
+        vals = cs[:, -1:] * xs
+        vals += cs[:, -2:-1]
+        for k in range(width - 3, -1, -1):
+            vals *= xs
+            vals += cs[:, k : k + 1]
+    signs = np.where(vals < 0, np.int8(-1), np.int8(1))
+    np.abs(vals, out=vals)
+    unsure = vals <= np.array([p._bound for p in polys])[:, None]
+    if unsure.any():
+        for i, j in np.argwhere(unsure).tolist():
+            signs[i, j] = polys[i]._exact_sign(float(xs[j]))
+    return signs
 
 
 class _IntegerPolynomial(Polynomial):

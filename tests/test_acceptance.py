@@ -282,7 +282,7 @@ def test_criterion_5_coverage_lemma():
         pts = np.asarray(inst.points)
         patterns = np.array(
             [sign_pattern(inst.hidden, float(pts[i]), d)[:d] for i in sampled], dtype=np.int8
-        )
+        ).T
         rest = np.delete(np.arange(500), sampled)
         positions, _ = infer_at(sampled, patterns, rest)
         hits += len(positions) / len(rest) >= threshold
@@ -304,12 +304,12 @@ def test_criterion_6_inference_dimension_witness():
             inst = random_instance(size, RootModel("uniform", d), rng, backend="exact")
             patterns = np.array(
                 [sign_pattern(inst.hidden, x, d)[:d] for x in inst.points], dtype=np.int8
-            )
+            ).T
             idx = np.arange(size)
             recovered = 0
             for i in range(size):
                 positions, _ = infer_at(
-                    np.delete(idx, i), np.delete(patterns, i, axis=0), idx[i : i + 1]
+                    np.delete(idx, i), np.delete(patterns, i, axis=1), idx[i : i + 1]
                 )
                 if len(positions):
                     recovered += 1

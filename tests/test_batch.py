@@ -22,7 +22,7 @@ PAT_B = (1, -1)
 def infer(queried, targets):
     """infer_labels on (index, pattern) pairs and target indices, as (position, sign) pairs."""
     idx = np.array([i for i, _ in queried], dtype=np.int64)
-    patterns = np.array([p for _, p in queried], dtype=np.int8).reshape(len(queried), -1)
+    patterns = np.array([p for _, p in queried], dtype=np.int8).reshape(len(queried), -1).T
     positions, signs = infer_at(idx, patterns, np.array(targets, dtype=np.int64))
     return [(int(p), int(s)) for p, s in zip(positions, signs)]
 
@@ -105,11 +105,11 @@ class TestInferIndicesFastPath:
             n = 40
             q = np.sort(rng.choice(n, size=10, replace=False))
             t = np.setdiff1d(np.arange(n), q)
-            patterns = rng.choice([-1, 1], size=(10, 3)).astype(np.int8)
-            patterns[:, 0] = 1
+            patterns = rng.choice([-1, 1], size=(3, 10)).astype(np.int8)
+            patterns[0] = 1
             pos, signs = infer_at(q, patterns, t)
             generic = restricted_infer(
-                [(int(x), tuple(int(v) for v in p)) for x, p in zip(q, patterns)],
+                [(int(x), tuple(int(v) for v in p)) for x, p in zip(q, patterns.T)],
                 [int(x) for x in t],
             )
             assert [(int(a), int(b)) for a, b in zip(pos, signs)] == generic
@@ -151,15 +151,17 @@ def test_infer_labels_matches_reference_rule(points, d):
     queried = [i for i, (q, _) in enumerate(points) if q]
     others = [i for i, (q, _) in enumerate(points) if not q]
     patterns = [_pattern(points[i][1], d) for i in queried]
-    inferred = infer_labels(
-        np.array([q for q, _ in points], dtype=bool),
-        np.array(patterns, dtype=np.int8).reshape(len(queried), d),
+    known = infer_labels(
+        np.array(queried, dtype=np.int64),
+        len(points),
+        np.array(patterns, dtype=np.int8).reshape(len(queried), d).T,
     )
-    assert inferred.dtype == np.int8 and len(inferred) == len(points)
+    assert known.dtype == np.int8 and len(known) == len(points)
     expected = np.zeros(len(points), dtype=np.int8)
+    expected[queried] = [p[0] for p in patterns]
     for pos, sign in restricted_infer(list(zip(queried, patterns)), others):
         expected[others[pos]] = sign
-    assert np.array_equal(inferred, expected)
+    assert np.array_equal(known, expected)
 
 
 class TestLearnAll:
@@ -258,7 +260,7 @@ class TestInferenceSoundness:
             idx = np.sort(rng.choice(60, size=12, replace=False))
             patterns = np.array(
                 [sign_pattern(inst.hidden, inst.points[i], d)[:d] for i in idx], dtype=np.int8
-            )
+            ).T
             target_idx = np.setdiff1d(np.arange(60), idx)
             truth = true_labels(inst)
             positions, signs = infer_at(idx, patterns, target_idx)
@@ -273,12 +275,12 @@ class TestInferenceSoundness:
                 inst = make_instance(size, d, seed=seed + 400, backend="exact")
                 patterns = np.array(
                     [sign_pattern(inst.hidden, x, d)[:d] for x in inst.points], dtype=np.int8
-                )
+                ).T
                 idx = np.arange(size)
                 recovered = 0
                 for i in range(size):
                     positions, _ = infer_at(
-                        np.delete(idx, i), np.delete(patterns, i, axis=0), idx[i : i + 1]
+                        np.delete(idx, i), np.delete(patterns, i, axis=1), idx[i : i + 1]
                     )
                     recovered += len(positions)
                 assert recovered >= 1

@@ -15,7 +15,9 @@ trial, were recorded before the batch learner's bookkeeping moved from
 ``np.unique``/``np.delete`` and binary search to boolean masks and counts.
 The two iterative cells at n = 256, the exact-iterative benchmark's shape,
 were recorded before the exact draws became array passes and the iterative
-learner lost its memo.
+learner lost its memo.  The batch cell at d = 6, n = 4096, whose batch size
+m = 5760 exceeds n so that every trial is one exhaustive round, was recorded
+before each round became one (orders x points) block request.
 """
 
 import json
@@ -69,6 +71,10 @@ CELLS = {
     "batch-float-d4-n32768-a0.4": dict(
         learner=BA, d=4, n=32768, backend=FLOAT, trials=2, seed=405, alphas=(0.4,)
     ),
+    # m >= n: no coverage loop, every point goes into the one exhaustive round
+    "batch-float-d6-n4096-a0.5": dict(
+        learner=BA, d=6, n=4096, backend=FLOAT, trials=3, seed=406, alphas=(0.5,)
+    ),
 }
 
 
@@ -119,6 +125,11 @@ EXPECTED = {
     'batch-float-d4-n32768-a0.4': [
         (12344, (3086, 3086, 3086, 3086), 2, True),
         (12556, (3139, 3139, 3139, 3139), 2, True),
+    ],
+    'batch-float-d6-n4096-a0.5': [
+        (24576, (4096, 4096, 4096, 4096, 4096, 4096), 1, True),
+        (24576, (4096, 4096, 4096, 4096, 4096, 4096), 1, True),
+        (24576, (4096, 4096, 4096, 4096, 4096, 4096), 1, True),
     ],
     'iterative-exact-d1-n1': [
         (1, (1,), 1, True),

@@ -219,18 +219,22 @@ class TestRun:
             mislabelled += not agrees
         assert mislabelled >= 1
 
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg = small_config(trials=6)
-        serial = run(cfg)
-        os.environ["PTF_LAB_THREADS"] = "2"
-        try:
-            parallel = run(cfg)
-        finally:
-            del os.environ["PTF_LAB_THREADS"]
+    def test_parallel_matches_serial(self):
         def untimed(rows):
             return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
 
-        assert untimed(parallel.rows) == untimed(serial.rows)
+        # 17 trials make 3 chunks of the pool's chunksize 8, so both workers run trials
+        for cfg in (
+            small_config(trials=17),
+            small_config(learner=harness.BATCH, n_values=(1024,), alphas=(0.5,), trials=17),
+        ):
+            serial = run(cfg)
+            os.environ["PTF_LAB_THREADS"] = "2"
+            try:
+                parallel = run(cfg)
+            finally:
+                del os.environ["PTF_LAB_THREADS"]
+            assert untimed(parallel.rows) == untimed(serial.rows), cfg.learner
 
     def test_higher_orders_flattened_to_json(self):
         result = run(small_config(d_values=(6,), n_values=(64,), trials=2))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptf_lab.distributions import EXACT, FLOAT, RootModel, Seed, random_instance
 from ptf_lab.oracle import DisallowedOrder, Oracle, QueryLedger, QuerySet
 from ptf_lab.polynomial import Polynomial, from_roots
 
@@ -47,24 +48,54 @@ class TestQuery:
             o.query(1, 2)
         o.query(1, 3)  # other orders still fine
         with pytest.raises(DisallowedOrder):
-            o.query_batch([1, 1], [0, 2])
+            o.query_batch([1], [0, 2])
         with pytest.raises(DisallowedOrder):
-            o.query_batch([1] * 4, range(4))  # a full pattern needs order 2
+            o.query_batch([1], range(4))  # a full pattern needs order 2
         assert o.ledger.total == 1
+
+
+def scalar_block(hidden, qset, xs, orders):
+    """The block's answers asked one question at a time, with that oracle's ledger."""
+    o = Oracle(hidden, qset)
+    return [[o.query(x, order) for x in xs] for order in orders], o.ledger
+
+
+def block_cases():
+    """(hidden, d, points) for the differential test of query_batch against query.
+
+    Exact and float draws with uniform and Dirichlet(0.1) roots, each at its
+    sample points, a few of their negatives, on its roots and one ulp either
+    side of them; Dirichlet roots cluster, so float Horner gets some signs
+    near them wrong.  Then a hidden polynomial of degree 2 under d = 4, whose
+    rows have degrees 2, 1, 0 and -1, and the zero polynomial.
+    """
+    models = (RootModel("uniform", 6), RootModel("dirichlet", 8, 0.1))
+    for k, (backend, model) in enumerate((b, m) for b in (EXACT, FLOAT) for m in models):
+        inst = random_instance(48, model, Seed(61, k).rng(), backend=backend)
+        on = [float(r) for r in inst.roots]
+        near = [np.nextafter(r, side) for r in on for side in (-np.inf, np.inf)]
+        yield inst.hidden, model.d, np.concatenate([inst.points, -inst.points[:8], on, near])
+    xs = np.array([-1.0, -0.5, 0.0, 0.25, np.nextafter(0.25, 1.0), 0.5, 0.75, 1.0])
+    yield from_roots([F(1, 4), F(3, 4)]), 4, xs
+    yield Polynomial([]), 3, xs
 
 
 class TestQueryBatch:
     def test_batch_costs_len_but_one_round(self):
         o = quad_oracle()
-        answers = o.query_batch([0, 1, 3], [0, 0, 0])
+        answers = o.query_batch([0, 1, 3], [0])
         assert answers.dtype == np.int8
-        assert answers.tolist() == [1, 1, 1]
+        assert answers.tolist() == [[1, 1, 1]]
         assert o.ledger.total == 3
         assert o.ledger.rounds == 1
+        assert o.query_batch([0, 1, 3], [1, 0]).tolist() == [[-1, -1, 1], [1, 1, 1]]
+        assert o.ledger.per_order == {0: 6, 1: 3}
+        assert o.ledger.rounds == 2
 
     def test_empty_batch_is_free(self):
         o = quad_oracle()
-        assert o.query_batch([], []).tolist() == []
+        assert o.query_batch([], [0, 1]).shape == (2, 0)
+        assert o.query_batch([0, 1], []).shape == (0, 2)
         assert o.ledger.total == 0
         assert o.ledger.rounds == 0
 
@@ -86,52 +117,52 @@ class TestQueryBatch:
 
     def test_vectorized_path_matches_scalar(self):
         # hidden x^3 - 3x: order 0 vanishes at 0, order 1 at -1 and 1, order 2
-        # at 0, and on floats these are exact zeros as well
-        roots = [(0, 0), (-1, 1), (1, 1), (0, 2)]
-        for exact in (False, True):
-            hidden = Polynomial([0, -3, 0, 1] if exact else [0.0, -3.0, 0.0, 1.0])
-            for size in (1, 31, 32, 120):
-                rng = np.random.default_rng(size)
-                xs = [F(int(k), 64) for k in rng.integers(-96, 97, size=size)]
-                orders = rng.integers(0, 3, size=size).tolist()
-                for i, (x, order) in enumerate(roots[:size]):
-                    xs[i], orders[i] = x, order
-                if not exact:  # also one ulp either side of each root
-                    xs = [float(x) for x in xs]
-                    ulps = [np.nextafter(x, side) for x, _ in roots for side in (-2.0, 2.0)]
-                    for i, x in enumerate(ulps[: max(0, size - len(roots))]):
-                        xs[len(roots) + i] = float(x)
-                perm = rng.permutation(size)  # unsorted xs, mixed orders
-                xs = [xs[i] for i in perm]
-                orders = [orders[i] for i in perm]
-                o1 = Oracle(hidden, QuerySet.full(3))
-                answers = o1.query_batch(xs, orders)
-                o2 = Oracle(hidden, QuerySet.full(3))
-                scalar = [o2.query(x, order) for x, order in zip(xs, orders)]
-                assert answers.tolist() == scalar, (exact, size)
-                assert o1.ledger.per_order == o2.ledger.per_order
-                assert o1.ledger.total == o2.ledger.total == size
-                assert o1.ledger.rounds == 1
+        # at 0; on floats these are exact zeros too, which the filter leaves
+        # to integer Horner
+        ks = np.random.default_rng(5).integers(-64, 65, size=40).tolist()
+        ulps = [np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0), -(2.0**-1074), 2.0**-1074]
+        inside = [0.0, -1.0, 1.0] + ulps + [k / 64 for k in ks]  # the float filter
+        mixed = [0, -1, 1] + [F(k, 64) for k in ks] + [1.5]  # integer Horner
+        for hidden in (Polynomial([0, -3, 0, 1]), Polynomial([0.0, -3.0, 0.0, 1.0])):
+            for xs in (inside, mixed):
+                answers = Oracle(hidden, QuerySet.full(3)).query_batch(xs, [2, 0, 1])
+                assert answers.tolist() == scalar_block(hidden, QuerySet.full(3), xs, [2, 0, 1])[0]
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_block_equals_scalar_queries(self, case):
+        hidden, d, xs = list(block_cases())[case]
+        orders = list(range(d))[::-1]  # rows of rising degree, so the top row comes last
+        # inside [-1, 1] (the float filter), outside it, and as Fractions (integer Horner)
+        for points in (xs, np.append(xs, [1.5, -2.0]), [F(x) for x in xs[:24]]):
+            o = Oracle(hidden, QuerySet.full(d))
+            answers = o.query_batch(points, orders)
+            assert answers.shape == (d, len(points))
+            want, ledger = scalar_block(hidden, QuerySet.full(d), points, orders)
+            assert answers.tolist() == want
+            assert o.ledger.per_order == ledger.per_order
+            assert o.ledger.total == ledger.total == d * len(points)
+            assert o.ledger.rounds == 1
 
 
 class TestFullPattern:
-    # a full sign pattern at x is one batch over every queryable order
+    # a full sign pattern at x is one block over every queryable order
     def test_costs_d_queries_one_round(self):
         o = quad_oracle()
-        assert o.query_batch([-1, -1], [0, 1]).tolist() == [1, -1]
+        assert o.query_batch([-1], [0, 1]).tolist() == [[1], [-1]]
         assert o.ledger.total == 2
         assert o.ledger.rounds == 1
 
     def test_repeat_recounts(self):
         o = quad_oracle()
-        first = o.query_batch([0, 0], [0, 1])
-        second = o.query_batch([0, 0], [0, 1])
+        first = o.query_batch([0, 2], [0, 1])
+        second = o.query_batch([0, 2], [0, 1])
         assert first.tolist() == second.tolist()
-        assert o.ledger.total == 4
+        assert o.ledger.total == 8
+        assert o.ledger.rounds == 2
 
     def test_degree_five_costs_five(self):
         o = Oracle(Polynomial([0, 0, 0, 0, 0, 1]), QuerySet.full(5))
-        o.query_batch([2] * 5, range(5))
+        o.query_batch([2], range(5))
         assert o.ledger.total == 5
 
 
@@ -169,10 +200,14 @@ def test_determinism(x, order):
 )
 @settings(max_examples=50, deadline=None)
 def test_ledger_conservation(sizes):
+    # len(xs) queries per order in the block, one round per non-empty block
     o = quad_oracle()
-    expected = 0
+    expected = {0: 0, 1: 0}
     for k in sizes:
-        o.query_batch(list(range(k)), [i % 2 for i in range(k)])
-        expected += k
-    assert o.ledger.total == expected
+        orders = [0, 1][: 1 + k % 2]
+        o.query_batch(list(range(k)), orders)
+        for order in orders:
+            expected[order] += k
+    assert o.ledger.per_order == {order: c for order, c in expected.items() if c}
+    assert o.ledger.total == sum(expected.values())
     assert o.ledger.rounds == sum(1 for k in sizes if k > 0)

@@ -110,16 +110,14 @@ def infer_at(queried_idx, patterns, target_idx) -> tuple[np.ndarray, np.ndarray]
     """``batch.infer_labels`` asked about named points.
 
     Points are named by their index in x order; ``queried_idx`` is sorted,
-    ``patterns`` holds its points' rows, and ``target_idx`` is disjoint from
-    it.  Returns (positions into target_idx, inferred signs) for the
-    inferable targets only.
+    ``patterns`` holds its points' patterns as a (d, len(queried_idx))
+    block, and ``target_idx`` is disjoint from it.  Returns (positions into
+    target_idx, inferred signs) for the inferable targets only.
     """
     queried_idx = np.asarray(queried_idx, dtype=np.int64)
     target_idx = np.asarray(target_idx, dtype=np.int64)
     size = max(queried_idx.max(initial=-1), target_idx.max(initial=-1)) + 1
-    queried = np.zeros(size, dtype=bool)
-    queried[queried_idx] = True
-    inferred = infer_labels(queried, patterns)[target_idx]
+    inferred = infer_labels(queried_idx, size, patterns)[target_idx]
     positions = np.flatnonzero(inferred)
     return positions, inferred[positions]
 
