@@ -17,7 +17,9 @@ false and ``case`` "Type: message"; a configuration error raises when the
 Aggregates per sweep cell go to a JSON sidecar that entropy comparison
 consumes.
 
-PTF_LAB_THREADS caps the process pool; unset or 1 runs trials inline.
+PTF_LAB_THREADS caps the process pool; unset or 1 runs trials inline.  The
+pool and the witness constructions of ``adversarial`` are imported only when
+a run or a report uses them, so importing the harness stays cheap.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import adversarial, batch, iterative, sample_search
+from . import batch, iterative, sample_search
 from .distributions import (
     DIRICHLET,
     EXACT,
@@ -236,6 +237,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
     workers = _worker_count()
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_single_trial, tasks, chunksize=8))
     else:
@@ -276,12 +279,12 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
 
 def write_outputs(result: ExperimentResult, out_csv: Path) -> None:
+    """Write the rows as CSV to out_csv and the cell aggregates as JSON beside it."""
     out_csv.parent.mkdir(parents=True, exist_ok=True)
     with open(out_csv, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        for row in result.rows:
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([row.get(c, "") for c in CSV_COLUMNS] for row in result.rows)
     agg = {"config": result.config.to_json(), "cells": result.cell_stats}
     out_csv.with_suffix(".json").write_text(json.dumps(agg, indent=1))
 
@@ -294,6 +297,8 @@ def verify_lower_bounds(
     multivariate_n: Sequence[int] = (2, 10, 32),
 ) -> list[dict]:
     """Build and verify every requested witness; one report entry each."""
+    from . import adversarial
+
     report = []
 
     def entry(name, **kw):

@@ -7,7 +7,8 @@ construction a polynomial also stores
 
 - ``_ints``: the coefficients as integers c_i over their positive lcm
   denominator ``_den``;
-- ``_floats``: each c_i / den correctly rounded to float64;
+- ``_floats``: each c_i / den correctly rounded to float64, stored from the
+  leading coefficient down, in Horner's order;
 - ``_bound``: an a priori bound on |fl(p^(x)) - p(x)| for float points
   |x| <= 1, where fl(p^(x)) is float64 Horner on ``_floats`` (no fused
   multiply-add).
@@ -32,10 +33,12 @@ float Horner (which could overflow) never decides a sign.
 Sign evaluation is one kernel, a float filter in front of integer Horner
 (the adaptive-predicate pattern of Shewchuk, 1997).  ``eval_sign`` returns
 the sign of the float Horner value at a float point with |x| <= 1 when that
-value's magnitude exceeds ``_bound``; the true value then has the same sign.
+value is above ``_bound`` or below ``-_bound``; the true value then has the
+same sign.  A Python float takes this path as it is; a numpy float64 is
+converted to one first.
 ``eval_sign_block`` does the same for a block of polynomials (rows) at an
 array of points (columns): one array Horner pass over the whole block, on a
-matrix of the rows' ``_floats`` padded with zeros above each row's degree,
+matrix of the rows' ``_floats`` right-aligned, zeros above each row's degree,
 with each row certified by its own ``_bound``.  A leading zero leaves
 Horner's value exactly as without it, so a padded row's floats are its own.
 ``eval_sign_many`` is the block's one-row case.  Every other point --
@@ -117,7 +120,7 @@ class Polynomial:
         _set(self, "_ints", ints)
         _set(self, "_den", den)
         try:
-            floats = tuple(c / den for c in ints)  # int / int rounds correctly
+            floats = tuple(c / den for c in reversed(ints))  # int / int rounds correctly
             total = math.fsum(map(abs, floats))
         except OverflowError:
             floats, total = (), math.inf
@@ -155,13 +158,19 @@ class Polynomial:
 
     def eval_sign(self, x: Scalar) -> int:
         """Exact sign of p(x), sign(0) = +1: certified float Horner, else integer Horner."""
-        if isinstance(x, float) and -1.0 <= x <= 1.0:
+        if type(x) is not float:
+            if not isinstance(x, float):
+                return self._exact_sign(x)
             x = float(x)  # numpy scalars make Python arithmetic slow
+        if -1.0 <= x <= 1.0:
             acc = 0.0
-            for c in reversed(self._floats):
+            for c in self._floats:
                 acc = acc * x + c
-            if abs(acc) > self._bound:
-                return -1 if acc < 0 else 1
+            bound = self._bound
+            if acc > bound:
+                return 1
+            if acc < -bound:
+                return -1
         return self._exact_sign(x)
 
     def eval_sign_many(self, xs: Sequence[Scalar]) -> np.ndarray:
@@ -200,13 +209,13 @@ def eval_sign_block(polys: Sequence[Polynomial], xs: Sequence[Scalar]) -> np.nda
     width = max([1] + [len(p._floats) for p in polys])
     cs = np.zeros((len(polys), width))
     for row, p in zip(cs, polys):
-        row[: len(p._floats)] = p._floats
+        row[width - len(p._floats) :] = p._floats
     if width == 1:
         vals = np.repeat(cs, len(xs), axis=1)
     else:  # Horner, one rounding per product and per sum
-        vals = cs[:, -1:] * xs
-        vals += cs[:, -2:-1]
-        for k in range(width - 3, -1, -1):
+        vals = cs[:, :1] * xs
+        vals += cs[:, 1:2]
+        for k in range(2, width):
             vals *= xs
             vals += cs[:, k : k + 1]
     signs = np.where(vals < 0, np.int8(-1), np.int8(1))

@@ -7,11 +7,17 @@ real roots, d flips pin one root per flip gap, so each gap's boundary is
 found by binary search (``iterative.find_flip``, the same search the
 iterative learner runs on a segment) and every other point inherits the
 sign of its bracketing queried neighbours.
+
+Phase 1 keeps each probe's sign in a list beside the sorted probe indices
+and updates the flip count from the new probe's neighbours alone.  It reads
+the probe order and the points one Python scalar at a time (``.item``), so
+no numpy scalar is made per probe and the permutation is never converted
+whole.  Phase 2's query count is the oracle's, taken before and after.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,61 +65,51 @@ def sample_and_search(
     Raises DegreeViolation if more flips than promised ever show up.
     """
     n = instance.n
-    points = instance.points
-    order_of_query = rng.permutation(n)  # uniform probing without replacement
+    at = rng.permutation(n).item  # uniform probing without replacement
+    point = instance.points.item  # Python scalars: no numpy scalar per probe
+    query = oracle.query
 
     queried: list[int] = []  # sorted point indices
-    signs: dict[int, int] = {}
+    signs: list[int] = []  # signs[j] is the sign at queried[j]
     flips = 0
-    z = 0
     case = "a"
-
-    def flip_delta(pos: int, idx: int, s: int) -> int:
-        delta = 0
-        left = queried[pos - 1] if pos > 0 else None
-        right = queried[pos] if pos < len(queried) else None
-        if left is not None and signs[left] != s:
-            delta += 1
-        if right is not None and signs[right] != s:
-            delta += 1
-        if left is not None and right is not None and signs[left] != signs[right]:
-            delta -= 1
-        return delta
-
-    for idx in order_of_query:
-        idx = int(idx)
-        s = oracle.query(points[idx], 0)
-        z += 1
-        pos = bisect.bisect_left(queried, idx)
-        flips += flip_delta(pos, idx, s)
+    for k in range(n):  # k points queried so far
+        idx = at(k)
+        s = query(point(idx), 0)
+        pos = bisect_left(queried, idx)
+        # s between two queried neighbours adds 2 flips if they agree and it
+        # differs, else none; at an end it adds 1 if it differs from the one
+        if 0 < pos < k:
+            if signs[pos - 1] == signs[pos] != s:
+                flips += 2
+        elif k and signs[pos - 1 if pos else 0] != s:
+            flips += 1
         queried.insert(pos, idx)
-        signs[idx] = s
+        signs.insert(pos, s)
         if flips > d_roots:
             raise DegreeViolation(f"{flips} flips seen but only {d_roots} roots promised")
         if flips == d_roots and d_roots > 0:
             case = "b"
             break
 
+    z = len(queried)
     labels = np.zeros(n, dtype=np.int8)
-    search_queries = 0
-
     if case == "a":
-        for idx, s in signs.items():
-            labels[idx] = s
-        return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case="a", flips=flips)
+        labels[queried] = signs
+        return AvgCaseResult(labels=labels, z=z, search_queries=0, case="a", flips=flips)
 
-    def ask(idx: int) -> int:
-        nonlocal search_queries
-        search_queries += 1
-        return oracle.query(points[idx], 0)
+    def ask(i: int) -> int:
+        return query(point(i), 0)
 
     # locate each flip boundary among the points strictly inside its gap
+    before = oracle.ledger.total
     boundaries = []  # index b: sign changes between points b and b+1
-    for lo, hi in zip(queried, queried[1:]):
-        if signs[lo] != signs[hi]:
-            boundaries.append(find_flip(ask, lo, hi, signs[lo]))
+    for j in range(z - 1):
+        if signs[j] != signs[j + 1]:
+            boundaries.append(find_flip(ask, queried[j], queried[j + 1], signs[j]))
+    search_queries = oracle.ledger.total - before
 
-    sign = signs[queried[0]]
+    sign = signs[0]
     prev = 0
     for b in boundaries:
         labels[prev : b + 1] = sign

@@ -13,11 +13,14 @@ delta is the chance that a correct program fails the check at fresh seeds:
   approximation when the true means sit on the boundary.  The totals are
   heavy-tailed, so the approximation is loose; at the pinned seeds each
   comparison clears its boundary by at least 5.7 standard errors.
-- 2 (slope within 30% of the bound's), 4 (mean rounds), 5 (coverage
-  frequency >= 0.4) and 8 (alpha = 144 budget) have fixed margins and no
-  calibrated delta.  At the pinned seeds the slope clears its margin by
-  14 standard errors, every trial of 4 meets its bound, all 500 trials of 5
-  are covered, and the budget of 8 is 800 standard errors above the mean.
+- 4 (mean rounds), 5 (coverage frequency >= 0.4) and 8 (alpha = 144
+  budget) have fixed margins and no calibrated delta.  At the pinned seeds
+  every trial of 4 meets its bound, all 500 trials of 5 are covered, and
+  the budget of 8 is 800 standard errors above the mean.
+
+Criterion 2 needs no statistics: each iterative trial's query total must lie
+in the accounting sandwich its own level signs imply (``query_sandwich``),
+and on the n = 2^8 cells those signs must equal the exact reference signs.
 """
 
 import math
@@ -39,7 +42,14 @@ from ptf_lab.instances import true_labels
 from ptf_lab.oracle import Oracle, QuerySet
 from ptf_lab.polynomial import sign_pattern
 
-from util import dkw_radius, infer_at, ks_statistic_discrete, z_law_cdf_grid, z_law_mean
+from util import (
+    dkw_radius,
+    infer_at,
+    ks_statistic_discrete,
+    reference_signs,
+    z_law_cdf_grid,
+    z_law_mean,
+)
 
 DELTA = 1e-3  # false-alarm rate of criterion 7's KS checks, all cells together
 
@@ -56,8 +66,37 @@ class TrialRecord:
     correct: bool
     queries: int
     segment_counts: dict | None = None
+    sandwich: tuple[int, int] | None = None
+    signs_true: bool | None = None  # level signs checked against the reference
     z: int | None = None
     total: int | None = None
+
+
+def query_sandwich(level_signs: dict, n: int) -> tuple[int, int]:
+    """Least and most queries the iterative learner spends, given its level signs.
+
+    A level's segments are the maximal runs on which every higher level's
+    sign is constant.  A segment lo..hi costs 1 query if lo = hi, and 2 if
+    its endpoint signs agree; otherwise 2 plus a binary search over hi - lo,
+    which takes between floor(log2(hi - lo)) and ceil(log2(hi - lo)) probes.
+    """
+    least = most = 0
+    changes = np.zeros(max(n - 1, 0), dtype=bool)
+    for order in sorted(level_signs, reverse=True):
+        signs = level_signs[order]
+        lo = 0
+        for hi in np.flatnonzero(changes).tolist() + [n - 1]:
+            if lo == hi:
+                least, most = least + 1, most + 1
+            elif signs[lo] == signs[hi]:
+                least, most = least + 2, most + 2
+            else:
+                span = hi - lo
+                least += 2 + span.bit_length() - 1  # floor(log2 span)
+                most += 2 + (span - 1).bit_length()  # ceil(log2 span)
+            lo = hi + 1
+        changes |= signs[1:] != signs[:-1]
+    return least, most
 
 
 def run_iterative(d, n, trials, seed0, backend):
@@ -67,6 +106,13 @@ def run_iterative(d, n, trials, seed0, backend):
         inst = random_instance(n, RootModel("uniform", d), rng, backend=backend)
         oracle = Oracle(inst.hidden, QuerySet.full(d))
         res = iterative.learn_all(inst, oracle)
+        signs_true = None
+        if n == 2**8:
+            xs, coeffs = inst.points.tolist(), inst.hidden.coeffs
+            signs_true = all(
+                reference_signs(coeffs, xs, order) == signs.tolist()
+                for order, signs in res.level_signs.items()
+            )
         out.append(
             TrialRecord(
                 d=d,
@@ -74,6 +120,8 @@ def run_iterative(d, n, trials, seed0, backend):
                 correct=bool(np.array_equal(res.labels, true_labels(inst))),
                 queries=oracle.ledger.total,
                 segment_counts=res.segment_counts,
+                sandwich=query_sandwich(res.level_signs, n),
+                signs_true=signs_true,
             )
         )
     return out
@@ -219,16 +267,16 @@ def test_criterion_1_perfect_labeling(iterative_c1, batch_c1, sample_search_c1):
 def test_criterion_2_iterative_deterministic_bound(iterative_c1, iterative_d4):
     records = list(iterative_c1) + iterative_d4[2**8] + iterative_d4[2**16]
     over = [r for r in records if r.queries > iterative.query_bound(r.d, r.n)]
-    m8, _ = mean_se([r.queries for r in iterative_d4[2**8]])
-    m16, _ = mean_se([r.queries for r in iterative_d4[2**16]])
-    slope = (m16 - m8) / 8
-    implied = sum(k * (k - 1) // 2 + 1 for k in range(1, 5))  # bound slope per log2 n
-    slope_ok = abs(slope - implied) <= 0.30 * implied
+    outside = [r for r in records if not r.sandwich[0] <= r.queries <= r.sandwich[1]]
+    checked = [r for r in records if r.n == 2**8]
+    wrong = [r for r in checked if not r.signs_true]
     criterion(
         2,
         "iterative query bound",
-        not over and slope_ok,
-        f"{len(over)} bound violations; slope {slope:.2f} vs implied {implied} (+-30%)",
+        not over and not outside and not wrong and len(checked) == 6 * 84 + 300,
+        f"{len(over)} bound violations; {len(outside)} of {len(records)} totals outside "
+        f"their accounting sandwich; {len(wrong)} of {len(checked)} n = 2^8 trials "
+        "with level signs off the exact reference",
     )
 
 

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +384,46 @@ class TestCompareEntropy:
         )
         report = compare_entropy([path])
         assert "dirichlet_surrogate" in report[0]["bounds"]
+
+
+def dictwriter_outputs(result, out_csv):
+    """Reference for ``harness.write_outputs``: a truncating ``csv.DictWriter``
+    and ``Path.write_text``."""
+    with open(out_csv, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        for row in result.rows:
+            writer.writerow(row)
+    agg = {"config": result.config.to_json(), "cells": result.cell_stats}
+    out_csv.with_suffix(".json").write_text(json.dumps(agg, indent=1))
+
+
+class TestWriteOutputs:
+    @pytest.mark.parametrize("learner", [harness.ITERATIVE, harness.BATCH, harness.SAMPLE_SEARCH])
+    def test_bytes_equal_dictwriter_output(self, tmp_path, learner):
+        kw = {"alphas": (0.5,)} if learner == harness.BATCH else {}
+        result = run(small_config(learner=learner, d_values=(1, 3), trials=4, **kw))
+        want = tmp_path / "want.csv"
+        dictwriter_outputs(result, want)
+        fresh = tmp_path / "sub" / "fresh.csv"
+        longer = tmp_path / "longer.csv"
+        longer.write_bytes(b"x" * (2 * want.stat().st_size))  # old contents to cut
+        longer.with_suffix(".json").write_bytes(b"{" * 50_000)
+        for path in (fresh, longer, longer):  # the last pass overwrites equal contents
+            harness.write_outputs(result, path)
+            assert path.read_bytes() == want.read_bytes()
+            assert path.with_suffix(".json").read_bytes() == want.with_suffix(".json").read_bytes()
+
+
+def test_harness_import_loads_no_pool_or_witnesses():
+    # the process pool and adversarial are imported only when used
+    src = str(Path(harness.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import ptf_lab.harness; "
+        "print(sorted(m for m in ('multiprocessing', 'ptf_lab.adversarial') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestPrintBounds:

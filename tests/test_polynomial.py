@@ -18,7 +18,7 @@ from ptf_lab.polynomial import (
     sign_pattern,
 )
 
-from util import exact_value, fraction_from_roots, reference_sign
+from util import exact_value, fraction_from_roots, reference_sign, reference_signs
 
 F = Fraction
 
@@ -336,6 +336,7 @@ def test_eval_sign_equals_reference_sign(roots, scale, floats, others, order):
     assert p.eval_sign_many(np.array(xs, dtype=np.float64)).tolist() == want
     mixed = xs + others
     want += [reference_sign(coeffs, x, order) for x in others]
+    assert reference_signs(coeffs, mixed, order) == want
     assert [p.eval_sign(x) for x in others] == want[len(xs):]
     assert p.eval_sign_many(mixed).tolist() == want
 
@@ -362,9 +363,41 @@ def test_non_finite_coefficients_and_points_raise(bad):
         from_roots([0.5, bad])
     p = Polynomial([0.5, -1.0, 1.0])
     for q in (p, p.derivative(), Polynomial([])):
-        with pytest.raises((ValueError, OverflowError)):
-            q.eval_sign(bad)
+        for x in (bad, np.float64(bad), np.float32(bad)):
+            with pytest.raises((ValueError, OverflowError)):
+                q.eval_sign(x)
         with pytest.raises((ValueError, OverflowError)):
             q.eval_sign_many(np.array([0.25, bad]))
         with pytest.raises((ValueError, OverflowError)):
             q.eval_sign_many([F(1, 4), bad])
+
+
+def float_horner(coeffs, x: float) -> float:
+    """Plain float64 Horner on the rounded coefficients, as the filter runs it."""
+    acc = 0.0
+    for c in reversed([float(c) for c in coeffs]):
+        acc = acc * x + c
+    return acc
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.nextafter(1.0, 2), -math.nextafter(1.0, 2)]
+FILTER_ROOTS = [0.1, 0.3, 0.7, -0.45]  # floats, so exact points on the roots
+
+
+@pytest.mark.parametrize("leading", [1, -1])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_eval_sign_on_every_input_type(leading, order):
+    coeffs = from_roots([F(r) for r in FILTER_ROOTS], leading=leading).coeffs
+    p = Polynomial(coeffs).derivative(order)
+    floats = list(EDGE_FLOATS)
+    for r in FILTER_ROOTS + [0.5, -0.9]:
+        floats += [r, math.nextafter(r, -2), math.nextafter(r, 2)]
+    points = floats + [np.float64(x) for x in floats] + [np.float32(x) for x in floats]
+    points += [0, 1, -1, 2, np.int64(-3), F(1, 3), F(7, 10), F(-9, 20), F(3, 2)]
+    for x in points:
+        assert p.eval_sign(x) == reference_sign(coeffs, x, order), (type(x), x)
+    if order == 0:
+        # on a root the float Horner value of the rounded coefficients is a
+        # rounding error of either sign, inside the bound; a filter that read
+        # its sign there would answer -1 for some root, where the truth is +1
+        assert any(float_horner(coeffs, r) < 0 for r in FILTER_ROOTS)

@@ -6,13 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ptf_lab.distributions import EXACT, FLOAT, RootModel, random_instance
 from ptf_lab.instances import Instance, true_labels
 from ptf_lab.oracle import Oracle, QuerySet
 from ptf_lab.polynomial import Polynomial, from_roots
 from ptf_lab.sample_search import DegreeViolation, sample_and_search
 
-from util import label_oracle, make_instance, trial_rng, z_law_cdf
+from util import label_oracle, make_instance, reference_sample_and_search, trial_rng, z_law_cdf
 
 
 class TestSampleAndSearch:
@@ -89,6 +92,50 @@ class TestSampleAndSearch:
         res = sample_and_search(inst, oracle, 3, trial_rng(901))
         assert set(oracle.ledger.per_order) <= {0}
         assert np.array_equal(res.labels, true_labels(inst))
+
+
+class RecordingOracle(Oracle):
+    """A label-only oracle that keeps every (x, order) it is asked, in order."""
+
+    def __init__(self, instance):
+        super().__init__(instance.hidden, QuerySet.label_only(instance.d))
+        self.asked = []
+
+    def query(self, x, order):
+        self.asked.append((x, order))
+        return super().query(x, order)
+
+
+def run_recorded(learner, inst, d_roots, seed):
+    oracle = RecordingOracle(inst)
+    try:
+        res = learner(inst, oracle, d_roots, trial_rng(seed, 1))
+        out = (res.z, res.case, res.flips, res.search_queries, res.labels.tolist())
+    except DegreeViolation as exc:
+        out = str(exc)
+    return out, oracle.asked, oracle.ledger
+
+
+@pytest.mark.parametrize("alpha", [None, 0.1])
+@pytest.mark.parametrize("n", [1, 2, 17, 4096])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    backend=st.sampled_from([EXACT, FLOAT]),
+    fewer=st.integers(0, 2),
+)
+@settings(max_examples=20, deadline=None)
+def test_matches_reference_rule(n, alpha, seed, d, backend, fewer):
+    # d_roots below the root count d may raise DegreeViolation; both must
+    # then raise after the same queries
+    model = RootModel("uniform", d) if alpha is None else RootModel("dirichlet", d, alpha)
+    inst = random_instance(n, model, trial_rng(seed), backend=backend, random_leading=True)
+    d_roots = max(d - fewer, 0)
+    got, got_asked, got_ledger = run_recorded(sample_and_search, inst, d_roots, seed)
+    want, want_asked, want_ledger = run_recorded(reference_sample_and_search, inst, d_roots, seed)
+    assert got_asked == want_asked
+    assert got == want
+    assert got_ledger == want_ledger
 
 
 def enumerated_z_law(n, d):

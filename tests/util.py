@@ -14,7 +14,9 @@ from ptf_lab.batch import infer_labels
 from ptf_lab.distributions import RootModel, Seed, random_instance
 from ptf_lab.instances import Instance
 from ptf_lab.oracle import Oracle, QuerySet
+from ptf_lab.iterative import find_flip
 from ptf_lab.polynomial import Polynomial
+from ptf_lab.sample_search import AvgCaseResult, DegreeViolation
 
 
 def trial_rng(master: int, stream: int = 0) -> np.random.Generator:
@@ -142,6 +144,74 @@ def restricted_infer(queried, targets) -> list[tuple[int, int]]:
     return out
 
 
+def reference_sample_and_search(instance, oracle, d_roots, rng) -> AvgCaseResult:
+    """Reference for ``sample_search.sample_and_search``: the flip count of
+    phase 1 kept by a ``flip_delta`` rule over a dict of signs, recomputing
+    each new probe's change from its neighbours as three separate terms."""
+    n = instance.n
+    points = instance.points
+    order_of_query = rng.permutation(n)
+
+    queried: list[int] = []  # sorted point indices
+    signs: dict[int, int] = {}
+    flips = 0
+    z = 0
+    case = "a"
+
+    def flip_delta(pos: int, idx: int, s: int) -> int:
+        delta = 0
+        left = queried[pos - 1] if pos > 0 else None
+        right = queried[pos] if pos < len(queried) else None
+        if left is not None and signs[left] != s:
+            delta += 1
+        if right is not None and signs[right] != s:
+            delta += 1
+        if left is not None and right is not None and signs[left] != signs[right]:
+            delta -= 1
+        return delta
+
+    for idx in order_of_query:
+        idx = int(idx)
+        s = oracle.query(points[idx], 0)
+        z += 1
+        pos = bisect.bisect_left(queried, idx)
+        flips += flip_delta(pos, idx, s)
+        queried.insert(pos, idx)
+        signs[idx] = s
+        if flips > d_roots:
+            raise DegreeViolation(f"{flips} flips seen but only {d_roots} roots promised")
+        if flips == d_roots and d_roots > 0:
+            case = "b"
+            break
+
+    labels = np.zeros(n, dtype=np.int8)
+    search_queries = 0
+
+    if case == "a":
+        for idx, s in signs.items():
+            labels[idx] = s
+        return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case="a", flips=flips)
+
+    def ask(idx: int) -> int:
+        nonlocal search_queries
+        search_queries += 1
+        return oracle.query(points[idx], 0)
+
+    boundaries = []
+    for lo, hi in zip(queried, queried[1:]):
+        if signs[lo] != signs[hi]:
+            boundaries.append(find_flip(ask, lo, hi, signs[lo]))
+
+    sign = signs[queried[0]]
+    prev = 0
+    for b in boundaries:
+        labels[prev : b + 1] = sign
+        sign = -sign
+        prev = b + 1
+    labels[prev:] = sign
+    return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case="b", flips=flips)
+
+
 def fraction_from_roots(roots, leading: int = 1) -> Polynomial:
     """Reference for exact ``from_roots``: leading * prod(x - r_i) expanded
     term by term in ``Fraction``/int arithmetic, then handed to ``Polynomial``."""
@@ -171,7 +241,10 @@ def exact_value(coeffs, x, order: int = 0) -> Fraction:
     cs = [Fraction(c) for c in coeffs]
     for _ in range(order):
         cs = [i * cs[i] for i in range(1, len(cs))]
-    x = Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)  # no int64 wrap
+    if isinstance(x, np.integer):
+        x = Fraction(int(x))  # no int64 wrap
+    else:  # a numpy float (float32 too) widens to float64 exactly
+        x = Fraction(float(x) if isinstance(x, np.floating) else x)
     value = Fraction(0)
     for c in reversed(cs):
         value = value * x + c
@@ -181,6 +254,32 @@ def exact_value(coeffs, x, order: int = 0) -> Fraction:
 def reference_sign(coeffs, x, order: int = 0) -> int:
     """Reference for ``Polynomial.eval_sign``: the sign of ``exact_value``, sign(0) = +1."""
     return -1 if exact_value(coeffs, x, order) < 0 else 1
+
+
+def reference_signs(coeffs, xs, order: int = 0) -> list[int]:
+    """``reference_sign`` at every point of xs, for long point lists.
+
+    The derivative is taken by the power rule on ``Fraction``s once; its
+    coefficients are then scaled to integers C_i by their common
+    denominator, and at x = a / b (b > 0) the sign is that of the integer
+    sum(C_i a**i b**(deg - i)), which has the sign of the value.
+    """
+    cs = [Fraction(c) for c in coeffs]
+    for _ in range(order):
+        cs = [i * cs[i] for i in range(1, len(cs))]
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    out = []
+    for x in xs:
+        x = Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
+        a, b = x.numerator, x.denominator
+        total, apow, bpow = 0, 1, b ** (len(ints) - 1) if ints else 1
+        for c in ints:
+            total += c * apow * bpow
+            apow *= a
+            bpow //= b
+        out.append(-1 if total < 0 else 1)
+    return out
 
 
 def witness_from_json(text: str) -> Witness:
