@@ -17,6 +17,11 @@ shape (len(orders), len(xs)), row i holding the signs of derivative
 block is one ``polynomial.eval_sign_block`` call, whose signs equal
 ``eval_sign``'s entry by entry, so a block answers exactly what the same
 questions asked one by one would.
+
+A scalar query only adds 1 to its order's counter.  ``Oracle.ledger`` folds
+those counters and the blocks' ledger into a new ``QueryLedger`` on every
+read, so a read is always current and a ledger held across later queries is
+a snapshot.
 """
 
 from __future__ import annotations
@@ -62,7 +67,12 @@ class QuerySet:
 
 @dataclass
 class QueryLedger:
-    """Non-decreasing counters: total queries, per-order queries, rounds."""
+    """Non-decreasing counters: total queries, per-order queries, rounds.
+
+    ``per_order`` holds only the orders asked.  ``Oracle.ledger`` builds one
+    on each read, folding in the scalar queries' per-order counts (1 query
+    and 1 round each).
+    """
 
     total: int = 0
     rounds: int = 0
@@ -82,17 +92,31 @@ class Oracle:
     The hidden polynomial is private; learners see only query answers.  The
     oracle does not check x against any sample (adversarial verification
     probes arbitrary points), and it is deterministic in (hidden, x, order).
+    ``ledger`` is a snapshot: each read returns a new QueryLedger of the
+    counts so far, and one held across later queries is not live.
     """
 
     def __init__(self, hidden: Polynomial, qset: QuerySet):
         if hidden.degree > qset.d:
             raise ValueError("hidden polynomial degree exceeds the ambient bound")
         self.qset = qset
-        self.ledger = QueryLedger()
         derivs = [hidden]  # orders 0..max allowed; a label-only oracle builds none
         for _ in range(max(qset.allowed_orders)):
             derivs.append(derivs[-1].derivative())
         self._derivs = derivs
+        self._asked = [0] * len(derivs)  # scalar queries per order, 1 round each
+        self._blocks = QueryLedger()  # what query_batch has counted
+
+    @property
+    def ledger(self) -> QueryLedger:
+        """The queries and rounds counted so far, as a new QueryLedger."""
+        blocks = self._blocks
+        per_order = dict(blocks.per_order)
+        for order, count in enumerate(self._asked):
+            if count:
+                per_order[order] = per_order.get(order, 0) + count
+        scalar = sum(self._asked)
+        return QueryLedger(blocks.total + scalar, blocks.rounds + scalar, per_order)
 
     @property
     def d(self) -> int:
@@ -103,10 +127,7 @@ class Oracle:
         if order not in self.qset.allowed_orders:
             raise DisallowedOrder(f"order {order} not in query set")
         ans = self._derivs[order].eval_sign(x)
-        ledger = self.ledger
-        ledger.per_order[order] = ledger.per_order.get(order, 0) + 1
-        ledger.total += 1
-        ledger.rounds += 1
+        self._asked[order] += 1
         return ans
 
     def query_batch(self, xs: Sequence[Scalar], orders: Sequence[int]) -> np.ndarray:
@@ -122,5 +143,5 @@ class Oracle:
         if not (len(xs) and orders):
             return np.empty((len(orders), len(xs)), dtype=np.int8)
         answers = eval_sign_block([self._derivs[o] for o in orders], xs)
-        self.ledger.record(orders, [len(xs)] * len(orders))
+        self._blocks.record(orders, [len(xs)] * len(orders))
         return answers

@@ -8,11 +8,17 @@ found by binary search (``iterative.find_flip``, the same search the
 iterative learner runs on a segment) and every other point inherits the
 sign of its bracketing queried neighbours.
 
-Phase 1 keeps each probe's sign in a list beside the sorted probe indices
-and updates the flip count from the new probe's neighbours alone.  It reads
-the probe order and the points one Python scalar at a time (``.item``), so
-no numpy scalar is made per probe and the permutation is never converted
-whole.  Phase 2's query count is the oracle's, taken before and after.
+Phase 1 keeps only the runs of equal sign that the probes show in x order:
+at most d + 1 of them while no more than d flips are seen, stored as a flat
+list of each run's first and last probe index beside a list of run signs.
+One ``bisect_left`` on those ends places a probe inside a run, between two
+runs (it joins the one whose sign it has) or past an end (a different sign
+opens a new run: 1 flip).  Only a different sign inside a run (2 flips)
+needs the run's probes: its nearest probes on either side are looked up in
+the probe order's prefix.  Phase 2 brackets each flip by the last probe of
+one run and the first probe of the next.  Probes are read one Python scalar
+at a time (``.item``), so no numpy scalar is made per probe.  Phase 2's
+query count is the oracle's, taken before and after.
 """
 
 from __future__ import annotations
@@ -42,6 +48,11 @@ class AvgCaseResult:
     case "a".  For d = 1 this gives E[Z] = 2 H_n - 1 (H_n the n-th harmonic
     number) and Var Z ~ 4n: Z is heavy-tailed, so sample means of Z are
     poor estimators of E[Z].
+
+    ``flips`` is the number of runs of equal sign among the z probes, read
+    in x order, less one.  In case "b" it equals the promised root count,
+    and ``search_queries`` are the binary searches between each run's last
+    probe and the next run's first; in case "a" the runs are the labels.
     """
 
     labels: np.ndarray
@@ -65,51 +76,73 @@ def sample_and_search(
     Raises DegreeViolation if more flips than promised ever show up.
     """
     n = instance.n
-    at = rng.permutation(n).item  # uniform probing without replacement
+    perm = rng.permutation(n)  # uniform probing without replacement
+    at = perm.item
     point = instance.points.item  # Python scalars: no numpy scalar per probe
     query = oracle.query
 
-    queried: list[int] = []  # sorted point indices
-    signs: list[int] = []  # signs[j] is the sign at queried[j]
+    # run j holds the probes ends[2j] .. ends[2j+1] (point indices) and has
+    # sign run_signs[j]; neighbouring runs differ, so flips = runs - 1
+    ends: list[int] = []
+    run_signs: list[int] = []
     flips = 0
-    case = "a"
-    for k in range(n):  # k points queried so far
+    z, case = n, "a"
+    for k in range(n):  # k points probed so far
         idx = at(k)
         s = query(point(idx), 0)
-        pos = bisect_left(queried, idx)
-        # s between two queried neighbours adds 2 flips if they agree and it
-        # differs, else none; at an end it adds 1 if it differs from the one
-        if 0 < pos < k:
-            if signs[pos - 1] == signs[pos] != s:
-                flips += 2
-        elif k and signs[pos - 1 if pos else 0] != s:
-            flips += 1
-        queried.insert(pos, idx)
-        signs.insert(pos, s)
+        pos = bisect_left(ends, idx)
+        if pos & 1:  # strictly inside run j
+            j = pos >> 1
+            if run_signs[j] == s:
+                continue
+            # split run j around idx at its nearest probes on either side
+            seen = np.sort(perm[:k])
+            at_idx = seen.searchsorted(idx)
+            ends[pos:pos] = (seen.item(at_idx - 1), idx, idx, seen.item(at_idx))
+            run_signs[j + 1 : j + 1] = (s, run_signs[j])
+        elif pos == len(ends):  # past the last run, or the first probe
+            if ends and run_signs[-1] == s:
+                ends[-1] = idx
+                continue
+            ends += (idx, idx)
+            run_signs.append(s)
+        elif pos:  # between two runs, of opposite signs: join the one of sign s
+            if run_signs[(pos >> 1) - 1] == s:
+                ends[pos - 1] = idx
+            else:
+                ends[pos] = idx
+            continue
+        elif run_signs[0] == s:  # before the first run
+            ends[0] = idx
+            continue
+        else:
+            ends[0:0] = (idx, idx)
+            run_signs.insert(0, s)
+        flips = len(run_signs) - 1
         if flips > d_roots:
             raise DegreeViolation(f"{flips} flips seen but only {d_roots} roots promised")
-        if flips == d_roots and d_roots > 0:
-            case = "b"
+        if flips == d_roots > 0:
+            z, case = k + 1, "b"
             break
 
-    z = len(queried)
     labels = np.zeros(n, dtype=np.int8)
     if case == "a":
-        labels[queried] = signs
+        for j, s in enumerate(run_signs):
+            labels[ends[2 * j] : ends[2 * j + 1] + 1] = s
         return AvgCaseResult(labels=labels, z=z, search_queries=0, case="a", flips=flips)
 
     def ask(i: int) -> int:
         return query(point(i), 0)
 
-    # locate each flip boundary among the points strictly inside its gap
+    # locate each flip boundary among the points strictly between the last
+    # probe of run j and the first probe of run j+1
     before = oracle.ledger.total
-    boundaries = []  # index b: sign changes between points b and b+1
-    for j in range(z - 1):
-        if signs[j] != signs[j + 1]:
-            boundaries.append(find_flip(ask, queried[j], queried[j + 1], signs[j]))
+    boundaries = [
+        find_flip(ask, ends[2 * j + 1], ends[2 * j + 2], run_signs[j]) for j in range(flips)
+    ]
     search_queries = oracle.ledger.total - before
 
-    sign = signs[0]
+    sign = run_signs[0]
     prev = 0
     for b in boundaries:
         labels[prev : b + 1] = sign

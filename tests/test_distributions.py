@@ -118,6 +118,38 @@ class TestExactUnitDraws:
         assert (got[0] == 0) != open_interval
 
 
+class ScriptedDraws:
+    """A generator whose random(size) calls return the scripted draws first."""
+
+    def __init__(self, seed, script):
+        self.rng, self.script, self.calls = np.random.default_rng(seed), list(script), 0
+
+    def random(self, size):
+        self.calls += 1
+        if self.script:
+            return np.array(self.script.pop(0))
+        return self.rng.random(size)
+
+
+# each script's first draw must be drawn again: a repeated value, a 0.0, or both
+ROOT_SCRIPTS = {
+    "repeat": [[0.7, 0.25, 0.7]],
+    "zero": [[0.5, 0.0, 0.125]],
+    "repeat-then-zero": [[0.3, 0.3, 0.6], [0.0, 0.9, 0.4]],
+    "repeated-zero": [[0.0, 0.0, 0.5]],
+}
+
+
+@pytest.mark.parametrize("name", ROOT_SCRIPTS)
+def test_float_uniform_roots_redraw_repeats_and_zeros(name):
+    # every scripted draw is rejected; the first unscripted one is kept, sorted
+    rng = ScriptedDraws(9, ROOT_SCRIPTS[name])
+    roots = sample_roots(RootModel("uniform", 3), rng)
+    assert rng.calls == len(ROOT_SCRIPTS[name]) + 1
+    assert roots == sorted(np.random.default_rng(9).random(3).tolist())
+    assert 0 < roots[0] < roots[1] < roots[2] < 1
+
+
 class TestRootModels:
     def test_dirichlet_gaps_normalized(self):
         rng = trial_rng(11)

@@ -211,3 +211,69 @@ def test_ledger_conservation(sizes):
     assert o.ledger.per_order == {order: c for order, c in expected.items() if c}
     assert o.ledger.total == sum(expected.values())
     assert o.ledger.rounds == sum(1 for k in sizes if k > 0)
+
+
+# a mix of requests on a query set without order 2: scalar (x, order) and
+# block (xs, orders); the fixed prefix holds a rejected scalar query and a
+# rejected block, and the empty blocks are free
+MIXED_QSET = QuerySet(4, frozenset({0, 1, 3}))
+MIXED_PREFIX = [
+    (1, 0),
+    ([0, 2, 3], [1, 3]),
+    (2, 2),
+    (3, 3),
+    ([1], [0, 2]),
+    ([], [0]),
+    ([4, 5], []),
+    (F(1, 2), 0),
+]
+scalar_steps = st.tuples(st.integers(-3, 3), st.integers(0, 3))
+block_steps = st.tuples(
+    st.lists(st.integers(-3, 3), max_size=3), st.lists(st.integers(0, 3), max_size=4)
+)
+
+
+@given(steps=st.lists(st.one_of(scalar_steps, block_steps), max_size=12))
+@settings(max_examples=50, deadline=None)
+def test_ledger_equals_an_eager_reference(steps):
+    o = Oracle(Polynomial([1, -2, 0, 3, 1]), MIXED_QSET)
+    want = QueryLedger()
+    for request in MIXED_PREFIX + steps:
+        scalar = not isinstance(request[0], list)
+        before = o.ledger
+        try:
+            (o.query if scalar else o.query_batch)(*request)
+        except DisallowedOrder:
+            assert o.ledger == before  # a rejected request counts nothing
+        else:
+            if scalar:
+                want.record([request[1]], [1])
+            elif request[0] and request[1]:
+                want.record(request[1], [len(request[0])] * len(request[1]))
+        assert o.ledger == want
+        assert 0 not in o.ledger.per_order.values()
+
+
+def test_held_ledger_is_a_snapshot():
+    o = quad_oracle()
+    o.query(0, 0)
+    held = o.ledger
+    o.query(0, 1)
+    o.query_batch([0, 1], [0])
+    assert (held.total, held.rounds, held.per_order) == (1, 1, {0: 1})
+    assert (o.ledger.total, o.ledger.rounds, o.ledger.per_order) == (4, 3, {0: 3, 1: 1})
+
+
+def test_ledger_read_inside_query_is_current():
+    class Peeking(Oracle):
+        def query(self, x, order):
+            answer = super().query(x, order)
+            self.totals.append(self.ledger.total)
+            return answer
+
+    o = Peeking(Polynomial([2, -3, 1]), QuerySet.full(2))
+    o.totals = []
+    o.query(0, 0)
+    o.query_batch([0, 1, 2], [0, 1])
+    o.query(1, 1)
+    assert o.totals == [1, 8]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 
 import numpy as np
@@ -9,13 +10,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptf_lab.distributions import EXACT, FLOAT, RootModel, random_instance
+from ptf_lab import sample_search
+from ptf_lab.distributions import (
+    EXACT,
+    FLOAT,
+    RootModel,
+    random_instance,
+    sample_roots,
+    uniform_points,
+)
 from ptf_lab.instances import Instance, true_labels
 from ptf_lab.oracle import Oracle, QuerySet
 from ptf_lab.polynomial import Polynomial, from_roots
 from ptf_lab.sample_search import DegreeViolation, sample_and_search
 
 from util import label_oracle, make_instance, reference_sample_and_search, trial_rng, z_law_cdf
+
+
+class FixedOrder:
+    """A generator whose permutation is the given probe order."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def permutation(self, n):
+        assert sorted(self.order) == list(range(n))
+        return np.array(self.order)
 
 
 class TestSampleAndSearch:
@@ -72,10 +92,6 @@ class TestSampleAndSearch:
         assert np.array_equal(res.labels, true_labels(inst))
 
     def test_degree_violation_on_bad_promise(self):
-        class FixedOrder:
-            def permutation(self, n):
-                return np.array([0, 2, 1])
-
         inst = Instance(
             points=np.array([0.1, 0.5, 0.9]),
             hidden=from_roots([0.3, 0.7]),
@@ -84,7 +100,7 @@ class TestSampleAndSearch:
         )
         oracle = label_oracle(inst)
         with pytest.raises(DegreeViolation):
-            sample_and_search(inst, oracle, 1, FixedOrder())
+            sample_and_search(inst, oracle, 1, FixedOrder([0, 2, 1]))
 
     def test_only_label_queries_needed(self):
         inst = make_instance(100, 3, seed=900)
@@ -107,9 +123,14 @@ class RecordingOracle(Oracle):
 
 
 def run_recorded(learner, inst, d_roots, seed):
+    return run_with(learner, inst, d_roots, trial_rng(seed, 1))
+
+
+def run_with(learner, inst, d_roots, rng):
+    """The learner's result (or DegreeViolation message), queries and ledger."""
     oracle = RecordingOracle(inst)
     try:
-        res = learner(inst, oracle, d_roots, trial_rng(seed, 1))
+        res = learner(inst, oracle, d_roots, rng)
         out = (res.z, res.case, res.flips, res.search_queries, res.labels.tolist())
     except DegreeViolation as exc:
         out = str(exc)
@@ -136,6 +157,111 @@ def test_matches_reference_rule(n, alpha, seed, d, backend, fewer):
     assert got_asked == want_asked
     assert got == want
     assert got_ledger == want_ledger
+
+
+TEN_POINTS = [(i + 0.5) / 10 for i in range(10)]
+THREE_ROOTS = (Fraction(1, 10), Fraction(6, 10), Fraction(9, 10))  # signs - + + + + + - - - +
+TWO_ROOTS = (Fraction(42, 100), Fraction(58, 100))  # signs + + + + - - + + + +
+
+# name: (points, roots, leading sign, d_roots, probe order, (case, z, search queries))
+PHASE_ONE_CASES = {
+    # 4 lands between the runs [2]+ and [7]- and joins the + run on its left
+    "gap-joins-left-run": (
+        TEN_POINTS, THREE_ROOTS, 1, 3, [2, 7, 4, 0, 9, 1, 3, 5, 6, 8], ("b", 5, 4)
+    ),
+    # 6 lands between the same runs and joins the - run on its right
+    "gap-joins-right-run": (
+        TEN_POINTS, THREE_ROOTS, 1, 3, [2, 7, 6, 0, 9, 1, 3, 4, 5, 8], ("b", 5, 4)
+    ),
+    # 2 and 8 extend the end runs; 0 and 9 then open a new run at each end
+    "new-run-at-each-end": (
+        TEN_POINTS, THREE_ROOTS, 1, 3, [4, 7, 2, 8, 0, 9, 1, 3, 5, 6], ("b", 6, 3)
+    ),
+    # 4 splits the run 0..9 between its interior probes 2 and 7
+    "split-between-interior-probes": (
+        TEN_POINTS, TWO_ROOTS, 1, 2, [0, 9, 2, 7, 4, 1, 3, 5, 6, 8], ("b", 5, 3)
+    ),
+    "case-a-after-a-split": (
+        TEN_POINTS, TWO_ROOTS, -1, 3, [0, 9, 4, 2, 7, 5, 3, 6, 1, 8], ("a", 10, 0)
+    ),
+    "case-a-four-runs": (
+        TEN_POINTS, THREE_ROOTS, 1, 4, [5, 0, 9, 3, 7, 1, 8, 2, 6, 4], ("a", 10, 0)
+    ),
+    "one-point": ([0.5], (Fraction(1, 4),), -1, 1, [0], ("a", 1, 0)),
+    "no-roots-promised-one-root": (
+        TEN_POINTS, (Fraction(1, 2),), 1, 0, [3, 1, 4, 6, 0, 2, 5, 7, 8, 9], None
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PHASE_ONE_CASES)
+def test_phase_one_branches_match_reference(name):
+    points, roots, leading, d_roots, order, want = PHASE_ONE_CASES[name]
+    inst = Instance(np.array(points), from_roots(roots, leading=leading), len(roots), roots)
+    got, got_asked, got_ledger = run_with(sample_and_search, inst, d_roots, FixedOrder(order))
+    ref = run_with(reference_sample_and_search, inst, d_roots, FixedOrder(order))
+    assert (got, got_asked, got_ledger) == ref
+    if want is None:
+        assert got == f"1 flips seen but only {d_roots} roots promised"
+    else:
+        z, case, _, search_queries, labels = got
+        assert (case, z, search_queries) == want
+        assert labels == true_labels(inst).tolist()
+
+
+def test_phase_one_keeps_at_most_two_ends_per_run(monkeypatch):
+    # phase 1 searches only the ends of the runs of equal sign, never a list
+    # of every probe
+    searched = []
+
+    def counting_bisect_left(a, x):
+        searched.append(len(a))
+        return bisect_left(a, x)
+
+    monkeypatch.setattr(sample_search, "bisect_left", counting_bisect_left)
+    inst = make_instance(4096, 6, seed=21)
+    res = sample_and_search(inst, label_oracle(inst), 6, trial_rng(22))
+    assert res.case == "b" and res.z > 2 * (6 + 1) + 1
+    assert len(searched) == res.z
+    assert max(searched) <= 2 * (6 + 1)
+
+
+def on_and_beside_roots(points, roots):
+    """The points, plus each root's nearest float and the floats one ulp either side."""
+    on = [float(r) for r in roots]
+    beside = [np.nextafter(x, side) for x in on for side in (-np.inf, np.inf)]
+    return np.unique(np.concatenate([points, on, beside]))
+
+
+@pytest.mark.parametrize("leading", [1, -1])
+@pytest.mark.parametrize(
+    "n,beside_roots", [(1, False), (2, False), (1, True), (2, True), (64, True)]
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    fewer=st.integers(0, 2),
+    alpha=st.sampled_from([None, 0.1]),
+)
+@settings(max_examples=10, deadline=None)
+def test_exact_edge_cases_match_reference(n, beside_roots, leading, seed, d, fewer, alpha):
+    # the hidden polynomial has d_roots = d - fewer roots, under a degree bound of d
+    d_roots = max(d - fewer, 1)
+    kind = "uniform" if alpha is None else "dirichlet"
+    model = RootModel(kind, d_roots, alpha)
+    rng = trial_rng(seed)
+    roots = tuple(sample_roots(model, rng, backend=EXACT))
+    points = uniform_points(n, rng, backend=EXACT)
+    if beside_roots:
+        points = on_and_beside_roots(points, roots)
+    inst = Instance(points, from_roots(roots, leading=leading), d, roots)
+    got, got_asked, got_ledger = run_recorded(sample_and_search, inst, d_roots, seed)
+    want = run_recorded(reference_sample_and_search, inst, d_roots, seed)
+    assert (got, got_asked, got_ledger) == want
+    assert not isinstance(got, str), got  # the promise holds, so nothing raises
+    *_, search_queries, labels = got
+    assert labels == true_labels(inst).tolist()
+    assert search_queries <= d_roots * (math.ceil(math.log2(inst.n)) + 2)
 
 
 def enumerated_z_law(n, d):
