@@ -7,7 +7,6 @@ from .polynomial import (
     Polynomial,
     from_roots,
     sign_of,
-    sign_pattern,
 )
 from .oracle import DisallowedOrder, Oracle, QueryLedger, QuerySet
 from .instances import Instance, true_labels
@@ -22,7 +21,6 @@ __all__ = [
     "Polynomial",
     "from_roots",
     "sign_of",
-    "sign_pattern",
     "DisallowedOrder",
     "Oracle",
     "QueryLedger",

@@ -4,9 +4,13 @@ A witness is a point set, a base polynomial, and one alternative polynomial
 per flippable point.  The alternative agrees with the base at every other
 point on every declared query order but disagrees on the flipped point's
 label, so no learner restricted to those query orders can ever pin that
-label down from the rest.  Every witness is verified in exact rational/integer arithmetic, the
-two-variable construction included: its points and rotations are rational
-points of the unit circle.
+label down from the rest.  ``verify_witness`` checks this on sign blocks
+(query orders x points, from ``polynomial.eval_sign_block``): the base's
+block once, then one block per alternative.  Every witness is verified in
+exact rational/integer arithmetic, the two-variable construction included:
+its points and rotations are rational points of the unit circle, and its
+constructor raises unless at least half the alternatives' off-diagonals
+share the chosen base's sign.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .batch import infer_labels
-from .polynomial import Polynomial, from_roots, sign_pattern
+from .polynomial import Polynomial, eval_sign_block, from_roots
 
 BIT_BUDGET = 2**20
 MAX_HALVINGS = 256
@@ -55,23 +59,29 @@ class Witness:
 
 
 def verify_witness(w: Witness) -> None:
-    """Exact check of every agreement and disagreement claim; raises on failure."""
+    """Exact check of every agreement and disagreement claim; raises on failure.
+
+    The base's (orders x points) sign block is built once and compared with
+    one block per alternative.  The first failure in point order, then
+    order, is the one reported.
+    """
+    orders = sorted(w.query_orders)
+    base = eval_sign_block([w.base.derivative(o) for o in orders], w.points)
     for flip_idx, alt in w.alternatives:
-        for j, x in enumerate(w.points):
-            for order in sorted(w.query_orders):
-                if j == flip_idx and order > 0:
-                    continue  # only the label claim applies at the flipped point
-                sb = w.base.derivative(order).eval_sign(x)
-                sa = alt.derivative(order).eval_sign(x)
-                if j == flip_idx:
-                    if sb == sa:
-                        raise WitnessVerificationError(
-                            f"alternative {flip_idx} fails to flip its point's label"
-                        )
-                elif sb != sa:
-                    raise WitnessVerificationError(
-                        f"alternative {flip_idx} disagrees with base at point {j}, order {order}"
-                    )
+        same = eval_sign_block([alt.derivative(o) for o in orders], w.points) == base
+        bad = ~same.T  # (points, orders): any disagreement fails ...
+        bad[flip_idx] = False  # ... but at the flipped point only the label
+        if 0 in w.query_orders:  # is claimed, and it must differ (row 0)
+            bad[flip_idx, 0] = same[0, flip_idx]
+        if bad.any():
+            j, k = np.argwhere(bad)[0].tolist()
+            if j == flip_idx:
+                raise WitnessVerificationError(
+                    f"alternative {flip_idx} fails to flip its point's label"
+                )
+            raise WitnessVerificationError(
+                f"alternative {flip_idx} disagrees with base at point {j}, order {orders[k]}"
+            )
 
 
 def count_restricted_inferences(w: Witness) -> int:
@@ -88,7 +98,7 @@ def count_restricted_inferences(w: Witness) -> int:
         return 0
     by_x = sorted(w.points)
     size = len(by_x)
-    patterns = np.array([sign_pattern(w.base, x, w.d)[: w.d] for x in by_x], dtype=np.int8).T
+    patterns = eval_sign_block([w.base.derivative(o) for o in range(w.d)], by_x)
     count = 0
     for r in range(size):
         at = np.delete(np.arange(size), r)
@@ -214,7 +224,8 @@ def linear_lower_witness(d: int, roots: Sequence) -> Witness:
 class MultivariateReport:
     """Exact verification of the two-variable quadratic construction.
 
-    ``c1``, ``c2`` and ``epsilon`` are the rationals the checks ran on.
+    ``c1``, ``c2`` and ``epsilon`` are the rationals the checks ran on, and
+    ``agreeing`` is at least n / 2: ``multivariate_witness`` raises otherwise.
     """
 
     n: int
@@ -223,9 +234,6 @@ class MultivariateReport:
     epsilon: Fraction
     base_choice: str  # "h" (negative off-diagonal) or "h_prime" (positive)
     agreeing: int  # alternatives whose off-diagonal matches the chosen base
-
-    def verified(self) -> bool:
-        return self.agreeing * 2 >= self.n
 
 
 def _rational(value: float) -> Fraction:
@@ -279,10 +287,20 @@ def multivariate_witness(n: int) -> MultivariateReport:
             if not (-2 * x + off * y < 0 and -2 * y + off * x < 0):
                 raise WitnessVerificationError("base gradient not negative on sample")
 
-    negatives = positives = 0
-    for i in range(1, n + 1):
-        theta = -math.pi / (4 * (n + 1)) - math.pi * (i - 1) / (2 * (n + 1))
-        xx, xy, yy = _rotated_quadratic(theta, c1, c2)
+    quads = [
+        _rotated_quadratic(-math.pi / (4 * (n + 1)) - math.pi * (i - 1) / (2 * (n + 1)), c1, c2)
+        for i in range(1, n + 1)
+    ]
+    # the base is the hypothesis whose off-diagonal sign at least half the
+    # alternatives share
+    negatives = sum(xy < 0 for _, xy, _ in quads)
+    positives = sum(xy > 0 for _, xy, _ in quads)
+    base_choice, agreeing = ("h", negatives) if 2 * negatives >= n else ("h_prime", positives)
+    if 2 * agreeing < n:
+        raise WitnessVerificationError(
+            f"multivariate witness n={n}: majority off-diagonal check failed"
+        )
+    for i, (xx, xy, yy) in enumerate(quads, start=1):
         for j, (x, y) in enumerate(pts, start=1):
             val = xx * x * x + 2 * xy * x * y + yy * y * y + c2
             if not (val > 0 if j == i else val < 0):
@@ -293,15 +311,11 @@ def multivariate_witness(n: int) -> MultivariateReport:
                 )
         if not (xx < 0 and yy < 0):
             raise WitnessVerificationError(f"alternative {i} Hessian diagonal not negative")
-        negatives += xy < 0
-        positives += xy > 0
-
-    base_choice = "h" if 2 * negatives >= n else "h_prime"
     return MultivariateReport(
         n=n,
         c1=c1,
         c2=c2,
         epsilon=eps,
         base_choice=base_choice,
-        agreeing=negatives if base_choice == "h" else positives,
+        agreeing=agreeing,
     )

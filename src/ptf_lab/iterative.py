@@ -41,7 +41,7 @@ def segment_bound(d: int, level: int) -> int:
 def query_bound(d: int, n: int) -> int:
     """Deterministic worst-case query count of learn_all for any instance."""
     log_term = math.ceil(math.log2(n)) + 2 if n > 1 else 2
-    return sum((k * (k - 1) // 2 + 1) * log_term for k in range(1, d + 1))
+    return sum(segment_bound(d, level) for level in range(d)) * log_term
 
 
 def find_flip(ask: Callable[[int], int], a: int, b: int, s_a: int) -> int:

@@ -18,15 +18,18 @@ block is one ``polynomial.eval_sign_block`` call, whose signs equal
 ``eval_sign``'s entry by entry, so a block answers exactly what the same
 questions asked one by one would.
 
-A scalar query only adds 1 to its order's counter.  ``Oracle.ledger`` folds
-those counters and the blocks' ledger into a new ``QueryLedger`` on every
-read, so a read is always current and a ledger held across later queries is
-a snapshot.
+Both shapes count into one list of per-order counters: a scalar query adds
+1 to its order's counter, a block adds len(xs) to each order it asks.  One
+more integer counts the queries that shared a block's round with an earlier
+one, len(xs) * len(orders) - 1 per non-empty block, so rounds are the total
+less that count.  ``Oracle.ledger`` builds a new ``QueryLedger`` from these
+counters on every read, so a read is always current and a ledger held
+across later queries is a snapshot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -67,23 +70,15 @@ class QuerySet:
 
 @dataclass
 class QueryLedger:
-    """Non-decreasing counters: total queries, per-order queries, rounds.
+    """Counts so far: total queries, rounds, and queries per order asked.
 
-    ``per_order`` holds only the orders asked.  ``Oracle.ledger`` builds one
-    on each read, folding in the scalar queries' per-order counts (1 query
-    and 1 round each).
+    ``Oracle.ledger`` builds one on each read; ``per_order`` holds only the
+    orders asked, and its counts sum to ``total``.
     """
 
-    total: int = 0
-    rounds: int = 0
-    per_order: dict[int, int] = field(default_factory=dict)
-
-    def record(self, orders: Sequence[int], counts: Sequence[int]) -> None:
-        """Count one round of counts[i] queries about orders[i]."""
-        for o, c in zip(orders, counts):
-            self.per_order[o] = self.per_order.get(o, 0) + c
-            self.total += c
-        self.rounds += 1
+    total: int
+    rounds: int
+    per_order: dict[int, int]
 
 
 class Oracle:
@@ -104,19 +99,15 @@ class Oracle:
         for _ in range(max(qset.allowed_orders)):
             derivs.append(derivs[-1].derivative())
         self._derivs = derivs
-        self._asked = [0] * len(derivs)  # scalar queries per order, 1 round each
-        self._blocks = QueryLedger()  # what query_batch has counted
+        self._asked = [0] * len(derivs)  # queries per order, both request shapes
+        self._shared = 0  # queries that shared a block's round with an earlier one
 
     @property
     def ledger(self) -> QueryLedger:
         """The queries and rounds counted so far, as a new QueryLedger."""
-        blocks = self._blocks
-        per_order = dict(blocks.per_order)
-        for order, count in enumerate(self._asked):
-            if count:
-                per_order[order] = per_order.get(order, 0) + count
-        scalar = sum(self._asked)
-        return QueryLedger(blocks.total + scalar, blocks.rounds + scalar, per_order)
+        total = sum(self._asked)
+        per_order = {o: c for o, c in enumerate(self._asked) if c}
+        return QueryLedger(total, total - self._shared, per_order)
 
     @property
     def d(self) -> int:
@@ -143,5 +134,7 @@ class Oracle:
         if not (len(xs) and orders):
             return np.empty((len(orders), len(xs)), dtype=np.int8)
         answers = eval_sign_block([self._derivs[o] for o in orders], xs)
-        self._blocks.record(orders, [len(xs)] * len(orders))
+        for order in orders:
+            self._asked[order] += len(xs)
+        self._shared += len(xs) * len(orders) - 1
         return answers

@@ -69,7 +69,6 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 Scalar = Union[int, Fraction, float]
-SignPattern = tuple[int, ...]
 
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1074  # smallest subnormal, twice the underflow error eta
@@ -200,10 +199,12 @@ class Polynomial:
 
 def eval_sign_block(polys: Sequence[Polynomial], xs: Sequence[Scalar]) -> np.ndarray:
     """``polys[i].eval_sign(xs[j])`` as entry (i, j) of an int8 array."""
-    xs = np.asarray(xs)
+    pts, xs = xs, np.asarray(xs)
     # the filter runs on float arrays inside [-1, 1] (NaN fails the test)
     if xs.dtype != np.float64 or not (xs.size and np.abs(xs).max() <= 1.0):
-        pts = xs.tolist()
+        # the points as given: asarray rounds ints to floats beside a float
+        # or beside ints of both signs that do not all fit in int64
+        pts = pts.tolist() if isinstance(pts, np.ndarray) else list(pts)
         signs = [p.eval_sign(x) for p in polys for x in pts]
         return np.array(signs, dtype=np.int8).reshape(len(polys), len(pts))
     width = max([1] + [len(p._floats) for p in polys])
@@ -291,15 +292,3 @@ def from_roots(roots: Sequence[Scalar], leading: int = 1) -> Polynomial:
     if leading < 0:
         coeffs = [-c for c in coeffs]
     return Polynomial(coeffs)
-
-
-def sign_pattern(p: Polynomial, x: Scalar, d: int) -> SignPattern:
-    """Signs of p and its first d derivatives at x, as a (d+1)-tuple."""
-    if p.degree > d:
-        raise ValueError(f"polynomial degree {p.degree} exceeds ambient bound {d}")
-    out = []
-    q = p
-    for _ in range(d + 1):
-        out.append(q.eval_sign(x))
-        q = q.derivative()
-    return tuple(out)

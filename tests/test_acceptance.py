@@ -40,12 +40,12 @@ from ptf_lab.distributions import (
 from ptf_lab.harness import verify_lower_bounds
 from ptf_lab.instances import true_labels
 from ptf_lab.oracle import Oracle, QuerySet
-from ptf_lab.polynomial import sign_pattern
 
 from util import (
     dkw_radius,
     infer_at,
     ks_statistic_discrete,
+    pattern_block,
     reference_signs,
     z_law_cdf_grid,
     z_law_mean,
@@ -328,9 +328,7 @@ def test_criterion_5_coverage_lemma():
         inst = random_instance(500, RootModel("uniform", d), rng)
         sampled = np.unique(rng.integers(0, 500, size=m))
         pts = np.asarray(inst.points)
-        patterns = np.array(
-            [sign_pattern(inst.hidden, float(pts[i]), d)[:d] for i in sampled], dtype=np.int8
-        ).T
+        patterns = pattern_block(inst.hidden, pts[sampled], d)
         rest = np.delete(np.arange(500), sampled)
         positions, _ = infer_at(sampled, patterns, rest)
         hits += len(positions) / len(rest) >= threshold
@@ -350,9 +348,7 @@ def test_criterion_6_inference_dimension_witness():
         for t in range(200):
             rng = Seed(18_000 + d, t).rng()
             inst = random_instance(size, RootModel("uniform", d), rng, backend="exact")
-            patterns = np.array(
-                [sign_pattern(inst.hidden, x, d)[:d] for x in inst.points], dtype=np.int8
-            ).T
+            patterns = pattern_block(inst.hidden, inst.points, d)
             idx = np.arange(size)
             recovered = 0
             for i in range(size):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ptf_lab import adversarial
 from ptf_lab.adversarial import (
     MultivariateReport,
     SizeLimit,
@@ -59,6 +60,52 @@ class TestIntervalWitness:
         bad = dataclasses.replace(w, query_orders=frozenset({0, 1}))
         with pytest.raises(WitnessVerificationError):
             verify_witness(bad)  # first derivatives disagree left of the dip
+
+
+class TestVerifyWitness:
+    # base x^2 at 1, 2, 3: every label and slope is positive
+    @staticmethod
+    def square(alternatives, orders=(0, 1)):
+        return Witness(
+            points=(1, 2, 3),
+            base=Polynomial([0, 0, 1]),
+            alternatives=alternatives,
+            query_orders=frozenset(orders),
+            d=2,
+        )
+
+    def test_flipped_point_checks_only_the_label(self):
+        # (x - 3/4)(x - 3/2) is negative only at 1, where its slope is too
+        verify_witness(self.square(((0, from_roots([F(3, 4), F(3, 2)])),)))
+
+    def test_alternative_that_does_not_flip(self):
+        w = self.square(((0, from_roots([F(1, 2), F(3, 2)])), (1, Polynomial([0, 0, 1]))))
+        with pytest.raises(
+            WitnessVerificationError, match="^alternative 1 fails to flip its point's label$"
+        ):
+            verify_witness(w)
+
+    def test_disagreement_at_a_higher_order(self):
+        # -(x - 1/2)(x - 11/4) flips 3 and keeps 1 and 2 positive, but its
+        # slope is negative at 2
+        w = self.square(((2, from_roots([F(1, 2), F(11, 4)], leading=-1)),))
+        with pytest.raises(
+            WitnessVerificationError, match="^alternative 2 disagrees with base at point 1, order 1$"
+        ):
+            verify_witness(w)
+
+    def test_first_failure_in_point_order(self):
+        # (x - 3/2)(x - 5/2) has a negative slope at 1, a negative label at 2
+        # and a positive label at 3: point 0's slope is reported first
+        alt = from_roots([F(3, 2), F(5, 2)])
+        with pytest.raises(WitnessVerificationError, match="at point 0, order 1$"):
+            verify_witness(self.square(((2, alt),)))
+        with pytest.raises(WitnessVerificationError, match="^alternative 0 fails to flip"):
+            verify_witness(self.square(((0, alt),)))
+
+    def test_no_label_order_checks_no_flip(self):
+        # the base's own second derivative agrees everywhere, flip or not
+        verify_witness(self.square(((0, Polynomial([0, 0, 1])),), orders=(2,)))
 
 
 class TestMissingDerivativeWitness:
@@ -191,7 +238,7 @@ class TestMultivariate:
     def test_alternative_positive_only_at_own_point(self):
         # verified internally; also check one alternative by hand
         rep = multivariate_witness(10)
-        assert rep.verified()
+        assert rep.agreeing * 2 >= rep.n
         assert rep.agreeing == 10  # all off-diagonals share a sign here
 
     @pytest.mark.parametrize("n", [2, 3, 10, 32, 64])
@@ -199,7 +246,19 @@ class TestMultivariate:
         rep = multivariate_witness(n)
         assert isinstance(rep, MultivariateReport)
         assert all(isinstance(v, F) for v in (rep.c1, rep.c2, rep.epsilon))
-        assert rep.verified()
+        assert rep.agreeing * 2 >= rep.n
+
+    def test_majority_off_diagonal_is_checked(self, monkeypatch):
+        # no zeroed off-diagonal agrees with either base
+        rotated = adversarial._rotated_quadratic
+
+        def zero_off_diagonal(theta, c1, c2):
+            xx, _, yy = rotated(theta, c1, c2)
+            return xx, F(0), yy
+
+        monkeypatch.setattr(adversarial, "_rotated_quadratic", zero_off_diagonal)
+        with pytest.raises(WitnessVerificationError, match="majority off-diagonal check failed"):
+            multivariate_witness(10)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 from ptf_lab.batch import BatchParams, infer_labels, learn_all
 from ptf_lab.instances import true_labels
 from ptf_lab.oracle import Oracle, QuerySet
-from ptf_lab.polynomial import sign_pattern
 
-from util import full_oracle, infer_at, make_instance, restricted_infer, trial_rng
+from util import (
+    full_oracle,
+    infer_at,
+    make_instance,
+    pattern_block,
+    restricted_infer,
+    trial_rng,
+)
 
 
 PAT_A = (1, 1)
@@ -258,9 +264,7 @@ class TestInferenceSoundness:
             d = 1 + seed % 4
             inst = make_instance(60, d, seed=seed + 300, backend="exact")
             idx = np.sort(rng.choice(60, size=12, replace=False))
-            patterns = np.array(
-                [sign_pattern(inst.hidden, inst.points[i], d)[:d] for i in idx], dtype=np.int8
-            ).T
+            patterns = pattern_block(inst.hidden, [inst.points[i] for i in idx], d)
             target_idx = np.setdiff1d(np.arange(60), idx)
             truth = true_labels(inst)
             positions, signs = infer_at(idx, patterns, target_idx)
@@ -273,9 +277,7 @@ class TestInferenceSoundness:
             size = d * d + d + 3
             for seed in range(25):
                 inst = make_instance(size, d, seed=seed + 400, backend="exact")
-                patterns = np.array(
-                    [sign_pattern(inst.hidden, x, d)[:d] for x in inst.points], dtype=np.int8
-                ).T
+                patterns = pattern_block(inst.hidden, inst.points, d)
                 idx = np.arange(size)
                 recovered = 0
                 for i in range(size):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ptf_lab
 from ptf_lab import batch, cli, harness, iterative
 from ptf_lab.distributions import EXACT, RootModel, Seed, random_instance
 from ptf_lab.harness import (
@@ -24,6 +25,11 @@ from ptf_lab.oracle import Oracle, QuerySet
 from ptf_lab.sample_search import sample_and_search
 
 from util import dkw_radius, ks_statistic_discrete, z_law_cdf_grid, z_law_mean
+
+
+def test_every_exported_name_resolves():
+    for name in ptf_lab.__all__:
+        assert hasattr(ptf_lab, name), name
 
 
 def small_config(**kw):

@@ -113,6 +113,12 @@ class TestLearnAll:
         assert np.array_equal(res.labels, true_labels(inst))
         assert oracle.ledger.total <= query_bound(2, 1024) == 36
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_query_bound_closed_form(self, d):
+        # sum over k = 1..d of k(k-1)/2 + 1 segments, ceil(log2 n) + 2 queries each
+        for n in (1, 2, 3, 1024, 4096):
+            assert query_bound(d, n) == (d**3 + 5 * d) // 6 * ((n - 1).bit_length() + 2)
+
     def test_cubic_bound_over_seeds(self):
         bound = query_bound(3, 4096)
         assert bound == 98

@@ -13,9 +13,9 @@ from ptf_lab.distributions import RootModel, Seed, random_instance
 from ptf_lab.polynomial import (
     DuplicateRoots,
     Polynomial,
+    eval_sign_block,
     from_roots,
     sign_of,
-    sign_pattern,
 )
 
 from util import exact_value, fraction_from_roots, reference_sign, reference_signs
@@ -105,26 +105,36 @@ class TestDerivative:
 
 
 class TestSignPattern:
+    # a point's sign pattern is its column of an (orders x points) block
     @pytest.mark.parametrize(
         "x,expected",
         [(1, (1, 1, 1)), (-1, (1, -1, 1)), (0, (1, 1, 1))],
     )
     def test_square(self, x, expected):
-        assert sign_pattern(Polynomial([0, 0, 1]), x, 2) == expected
-
-    def test_degree_exceeds_bound(self):
-        with pytest.raises(ValueError):
-            sign_pattern(Polynomial([0, 0, 1]), 0, 1)
+        p = Polynomial([0, 0, 1])
+        block = eval_sign_block([p.derivative(o) for o in range(3)], [x])
+        assert block.dtype == np.int8
+        assert tuple(block[:, 0]) == expected
 
     def test_length_and_constant_tail(self):
         p = from_roots([F(1, 3), F(2, 3)], leading=-1)
-        pat = sign_pattern(p, F(1, 2), 4)
-        assert len(pat) == 5
+        xs = [F(1, 2), 0, 2.5, -0.75]
+        block = eval_sign_block([p.derivative(o) for o in range(5)], xs)
+        assert block.shape == (5, 4)
+        assert block[:3, 0].tolist() == [1, 1, -1]  # p(1/2) > 0, p'(1/2) = 0, p'' < 0
         # orders above the degree evaluate the zero polynomial: sign +1
-        assert pat[3] == pat[4] == 1
+        assert block[3:].tolist() == [[1] * 4] * 2
 
 
 class TestBackends:
+    def test_block_keeps_the_points_as_given(self):
+        # np.asarray turns each of these lists into a float64 array that
+        # rounds its big int; the block reads the int as given
+        big = 2**63 + 1
+        assert Polynomial([-big, 1]).eval_sign_many([-1, big + 1]).tolist() == [-1, 1]
+        big = 2**53 + 1
+        assert Polynomial([-big, 1]).eval_sign_many([0.5, big]).tolist() == [-1, 1]
+
     def test_vectorized_matches_scalar(self):
         p = from_roots([0.2, 0.5, 0.9])
         xs = np.concatenate([np.linspace(0, 1, 17), [0.2, 0.5, 0.9]])

@@ -15,7 +15,7 @@ from ptf_lab.distributions import RootModel, Seed, random_instance
 from ptf_lab.instances import Instance
 from ptf_lab.oracle import Oracle, QuerySet
 from ptf_lab.iterative import find_flip
-from ptf_lab.polynomial import Polynomial
+from ptf_lab.polynomial import Polynomial, eval_sign_block
 from ptf_lab.sample_search import AvgCaseResult, DegreeViolation
 
 
@@ -33,6 +33,11 @@ def set_loop_unit_draws(k: int, rng, open_interval: bool = False) -> list[int]:
                 continue
             seen.add(int(v))
     return sorted(seen)
+
+
+def pattern_block(p: Polynomial, xs, d: int) -> np.ndarray:
+    """The sign patterns of orders 0..d-1 of p at xs, as a (d, points) block."""
+    return eval_sign_block([p.derivative(o) for o in range(d)], xs)
 
 
 def make_instance(n, d, seed, backend="float", model="uniform", alpha=None):
