@@ -1,8 +1,10 @@
 """Experiment runner: sweeps, per-trial records, CSV/JSON persistence.
 
-Every trial draws its own RNG stream from the master seed (stream index =
-cell_index * trials + trial_index), runs one learner on one fresh random
-instance, and yields one CSV row.  ``backend`` names the draw mode
+``run_trial(config, cell, stream)`` is the one function that makes a trial:
+it draws RNG stream ``stream`` of the master seed, runs one learner on one
+fresh random instance and returns a ``Trial`` (CSV row, instance and
+learner result).  A sweep's stream is cell index * trials + trial index, so
+stream t of a one-cell sweep is trial t.  ``backend`` names the draw mode
 (``distributions.EXACT`` or ``FLOAT``), which picks how the instance's roots
 and points are drawn; signs are evaluated exactly in either mode.  ``model``
 picks the root distribution of every learner's instances.  The row's
@@ -12,8 +14,9 @@ code with the oracle's sign evaluation.
 Batch rows also carry the learner's ``iterations``, ``loop_rounds`` and
 ``final_round``, which other learners leave empty.  A trial that raises, in
 generation, learning or the check, still yields its row, with ``correct``
-false and ``case`` "Type: message"; a configuration error raises when the
-``ExperimentConfig`` is built, before any trial runs.
+false and ``case`` "Type: message", and its ``Trial`` has no instance or
+result; a configuration error raises when the ``ExperimentConfig`` is
+built, before any trial runs.
 Aggregates per sweep cell go to a JSON sidecar that entropy comparison
 consumes.
 
@@ -50,7 +53,7 @@ from .distributions import (
     entropy_lower_bound_uniform,
     random_instance,
 )
-from .instances import true_labels
+from .instances import Instance, true_labels
 from .oracle import Oracle, QueryLedger, QuerySet
 
 ITERATIVE = "iterative"
@@ -109,6 +112,8 @@ class ExperimentConfig:
             raise ValueError("n must be at least 1")
         for d in self.d_values:  # raises on d or a model out of range
             self.root_model(d)
+        if self.learner != BATCH and self.alphas:
+            raise ValueError(f"alphas apply to the batch learner only, not {self.learner!r}")
         if self.learner == BATCH:
             if not self.alphas:
                 raise ValueError("batch sweeps need at least one alpha")
@@ -136,12 +141,21 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
-def _run_single_trial(args: tuple) -> dict:
-    config, cell, trial_idx, stream = args
+@dataclass
+class Trial:
+    """A trial's CSV row, instance and learner result; the last two are None if it raised."""
+
+    row: dict
+    instance: Optional[Instance]
+    result: object
+
+
+def run_trial(config: ExperimentConfig, cell: dict, stream: int) -> Trial:
+    """Make trial `stream` of the sweep: one learner on one fresh random instance."""
     rng = Seed(config.master_seed, stream).rng()
     d, n = cell["d"], cell["n"]
     row = {
-        "trial": trial_idx,
+        "trial": stream % config.trials,
         "seed_stream": stream,
         "d": d,
         "n": n,
@@ -154,7 +168,7 @@ def _run_single_trial(args: tuple) -> dict:
         "loop_rounds": "",
         "final_round": "",
     }
-    oracle = None
+    oracle = instance = result = None
     start = None
     correct = False
     try:
@@ -187,6 +201,7 @@ def _run_single_trial(args: tuple) -> dict:
     except Exception as exc:  # a failed trial is a row, not the end of the sweep
         wall_ms = 0.0 if start is None else (time.perf_counter() - start) * 1000.0
         row["case"] = f"{type(exc).__name__}: {exc}"
+        instance = result = None
 
     ledger = oracle.ledger if oracle is not None else QueryLedger(0, 0, {})
     per_order = ledger.per_order
@@ -205,7 +220,12 @@ def _run_single_trial(args: tuple) -> dict:
             "wall_ms": f"{wall_ms:.3f}",
         }
     )
-    return row
+    return Trial(row, instance, result)
+
+
+def _row(task: tuple) -> dict:
+    # only the row leaves the trial, so only rows cross the process pool
+    return run_trial(*task).row
 
 
 @dataclass
@@ -229,20 +249,20 @@ def _worker_count() -> int:
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Run all cells x trials; write CSV and JSON if an output path is set."""
     cells = config.cells()
-    tasks = []
-    for ci, cell in enumerate(cells):
-        for tr in range(config.trials):
-            stream = ci * config.trials + tr
-            tasks.append((config, cell, tr, stream))
+    tasks = [
+        (config, cell, ci * config.trials + tr)
+        for ci, cell in enumerate(cells)
+        for tr in range(config.trials)
+    ]
 
     workers = _worker_count()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_single_trial, tasks, chunksize=8))
+            rows = list(pool.map(_row, tasks, chunksize=8))
     else:
-        rows = [_run_single_trial(t) for t in tasks]
+        rows = [_row(t) for t in tasks]
 
     cell_stats = []
     per_cell = config.trials

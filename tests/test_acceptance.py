@@ -21,15 +21,18 @@ delta is the chance that a correct program fails the check at fresh seeds:
 Criterion 2 needs no statistics: each iterative trial's query total must lie
 in the accounting sandwich its own level signs imply (``query_sandwich``),
 and on the n = 2^8 cells those signs must equal the exact reference signs.
+
+The fixtures are harness trials: rows of ``harness.run``, or ``run_trial`` where
+a criterion reads level signs.  Each cell is a one-cell config, so its stream t
+is the stream ``Seed`` gives for (seed, t).  Criteria 5, 6 and 11 are not sweeps.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from ptf_lab import batch, iterative, sample_search
+from ptf_lab import batch, iterative
 from ptf_lab.distributions import (
     RootModel,
     Seed,
@@ -37,8 +40,8 @@ from ptf_lab.distributions import (
     entropy_lower_bound_uniform,
     random_instance,
 )
+from ptf_lab.harness import BATCH, ITERATIVE, SAMPLE_SEARCH, ExperimentConfig, run, run_trial
 from ptf_lab.harness import verify_lower_bounds
-from ptf_lab.instances import true_labels
 from ptf_lab.oracle import Oracle, QuerySet
 
 from util import (
@@ -57,19 +60,6 @@ DELTA = 1e-3  # false-alarm rate of criterion 7's KS checks, all cells together
 def criterion(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num} ({name}): {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-@dataclass
-class TrialRecord:
-    d: int
-    n: int
-    correct: bool
-    queries: int
-    segment_counts: dict | None = None
-    sandwich: tuple[int, int] | None = None
-    signs_true: bool | None = None  # level signs checked against the reference
-    z: int | None = None
-    total: int | None = None
 
 
 def query_sandwich(level_signs: dict, n: int) -> tuple[int, int]:
@@ -99,70 +89,30 @@ def query_sandwich(level_signs: dict, n: int) -> tuple[int, int]:
     return least, most
 
 
-def run_iterative(d, n, trials, seed0, backend):
+def rows(learner, d, n, trials, seed, backend="float", **kw) -> list[dict]:
+    return run(ExperimentConfig(learner, (d,), (n,), trials, seed, backend=backend, **kw)).rows
+
+
+def sample_search_rows(d, n, trials, seed, alpha=None, backend="float") -> list[dict]:
+    """Uniform roots if alpha is None, else Dirichlet(alpha) root gaps."""
+    kw = {} if alpha is None else dict(model="dirichlet", dirichlet_alpha=alpha)
+    return rows(SAMPLE_SEARCH, d, n, trials, seed, backend, **kw)
+
+
+def iterative_rows(d, n, trials, seed, backend="float") -> list[dict]:
+    """Each trial's row, segment counts, accounting sandwich and, at n = 2^8,
+    whether its level signs are exact; the rest of the trial is dropped."""
+    config = ExperimentConfig(ITERATIVE, (d,), (n,), trials, seed, backend=backend)
     out = []
     for t in range(trials):
-        rng = Seed(seed0, t).rng()
-        inst = random_instance(n, RootModel("uniform", d), rng, backend=backend)
-        oracle = Oracle(inst.hidden, QuerySet.full(d))
-        res = iterative.learn_all(inst, oracle)
-        signs_true = None
+        trial = run_trial(config, config.cells()[0], t)
+        inst, signs = trial.instance, trial.result.level_signs
+        exact = None
         if n == 2**8:
             xs, coeffs = inst.points.tolist(), inst.hidden.coeffs
-            signs_true = all(
-                reference_signs(coeffs, xs, order) == signs.tolist()
-                for order, signs in res.level_signs.items()
-            )
-        out.append(
-            TrialRecord(
-                d=d,
-                n=n,
-                correct=bool(np.array_equal(res.labels, true_labels(inst))),
-                queries=oracle.ledger.total,
-                segment_counts=res.segment_counts,
-                sandwich=query_sandwich(res.level_signs, n),
-                signs_true=signs_true,
-            )
-        )
-    return out
-
-
-def run_batch(d, n, trials, seed0, backend, alpha=0.5):
-    out = []
-    params = batch.BatchParams(d=d, n=n, alpha=alpha)
-    for t in range(trials):
-        rng = Seed(seed0, t).rng()
-        inst = random_instance(n, RootModel("uniform", d), rng, backend=backend)
-        oracle = Oracle(inst.hidden, QuerySet.full(d))
-        res = batch.learn_all(inst, oracle, params, rng)
-        out.append(
-            TrialRecord(
-                d=d,
-                n=n,
-                correct=bool(np.array_equal(res.labels, true_labels(inst))),
-                queries=oracle.ledger.total,
-            )
-        )
-    return out
-
-
-def run_sample_search(d, n, trials, seed0, backend, model="uniform", alpha=None):
-    out = []
-    for t in range(trials):
-        rng = Seed(seed0, t).rng()
-        inst = random_instance(n, RootModel(model, d, alpha), rng, backend=backend)
-        oracle = Oracle(inst.hidden, QuerySet.label_only(d))
-        res = sample_search.sample_and_search(inst, oracle, d, rng)
-        out.append(
-            TrialRecord(
-                d=d,
-                n=n,
-                correct=bool(np.array_equal(res.labels, true_labels(inst))),
-                queries=oracle.ledger.total,
-                z=res.z,
-                total=res.total,
-            )
-        )
+            exact = all(reference_signs(coeffs, xs, o) == s.tolist() for o, s in signs.items())
+        row = dict(trial.row, segment_counts=trial.result.segment_counts, signs_true=exact)
+        out.append(dict(row, sandwich=query_sandwich(signs, n)))
     return out
 
 
@@ -174,8 +124,8 @@ def iterative_c1():
     records = []
     seed = 11_000
     for d in range(1, 7):
-        records += run_iterative(d, 2**8, 84, seed, "exact")
-        records += run_iterative(d, 2**12, 84, seed + 1, "float")
+        records += iterative_rows(d, 2**8, 84, seed, "exact")
+        records += iterative_rows(d, 2**12, 84, seed + 1)
         seed += 2
     return records
 
@@ -185,8 +135,8 @@ def batch_c1():
     records = []
     seed = 12_000
     for d in range(1, 7):
-        records += run_batch(d, 2**8, 84, seed, "exact")
-        records += run_batch(d, 2**12, 84, seed + 1, "float")
+        records += rows(BATCH, d, 2**8, 84, seed, "exact", alphas=(0.5,))
+        records += rows(BATCH, d, 2**12, 84, seed + 1, alphas=(0.5,))
         seed += 2
     return records
 
@@ -196,9 +146,9 @@ def sample_search_c1():
     records = []
     seed = 13_000
     for d in range(1, 6):
-        for model, alpha in (("uniform", None), ("dirichlet", 1.0), ("dirichlet", 2.0)):
-            records += run_sample_search(d, 2**8, 34, seed, "exact", model, alpha)
-            records += run_sample_search(d, 2**12, 34, seed + 1, "float", model, alpha)
+        for alpha in (None, 1.0, 2.0):
+            records += sample_search_rows(d, 2**8, 34, seed, alpha, "exact")
+            records += sample_search_rows(d, 2**12, 34, seed + 1, alpha)
             seed += 2
     return records
 
@@ -206,37 +156,27 @@ def sample_search_c1():
 @pytest.fixture(scope="module")
 def iterative_d4():
     return {
-        2**8: run_iterative(4, 2**8, 300, 14_000, "float"),
-        2**16: run_iterative(4, 2**16, 300, 14_001, "float"),
+        2**8: iterative_rows(4, 2**8, 300, 14_000),
+        2**16: iterative_rows(4, 2**16, 300, 14_001),
     }
 
 
 @pytest.fixture(scope="module")
 def avg_cells():
     """Average-case sweep cells shared by criteria 7, 8, and 9."""
-    cells = {}
-    cells[("uniform", None, 1, 2**10)] = run_sample_search(1, 2**10, 2000, 15_000, "float")
-    cells[("uniform", None, 1, 2**16)] = run_sample_search(1, 2**16, 2000, 15_001, "float")
-    cells[("uniform", None, 4, 2**10)] = run_sample_search(4, 2**10, 2000, 15_002, "float")
-    cells[("uniform", None, 4, 2**16)] = run_sample_search(4, 2**16, 2000, 15_003, "float")
     n12 = 2**12
     alpha_conc = float(math.ceil(math.log2(n12) ** 2))
-    cells[("dirichlet", 1.0, 4, n12)] = run_sample_search(
-        4, n12, 1000, 15_004, "float", "dirichlet", 1.0
-    )
-    cells[("dirichlet", 2.0, 4, n12)] = run_sample_search(
-        4, n12, 1000, 15_005, "float", "dirichlet", 2.0
-    )
-    cells[("dirichlet", alpha_conc, 4, n12)] = run_sample_search(
-        4, n12, 1000, 15_006, "float", "dirichlet", alpha_conc
-    )
-    cells[("dirichlet", 1.0, 2, 20)] = run_sample_search(
-        2, 20, 1500, 15_007, "float", "dirichlet", 1.0
-    )
-    cells[("dirichlet", 2.0, 3, 30)] = run_sample_search(
-        3, 30, 1500, 15_008, "float", "dirichlet", 2.0
-    )
-    return cells
+    return {
+        ("uniform", None, 1, 2**10): sample_search_rows(1, 2**10, 2000, 15_000),
+        ("uniform", None, 1, 2**16): sample_search_rows(1, 2**16, 2000, 15_001),
+        ("uniform", None, 4, 2**10): sample_search_rows(4, 2**10, 2000, 15_002),
+        ("uniform", None, 4, 2**16): sample_search_rows(4, 2**16, 2000, 15_003),
+        ("dirichlet", 1.0, 4, n12): sample_search_rows(4, n12, 1000, 15_004, 1.0),
+        ("dirichlet", 2.0, 4, n12): sample_search_rows(4, n12, 1000, 15_005, 2.0),
+        ("dirichlet", alpha_conc, 4, n12): sample_search_rows(4, n12, 1000, 15_006, alpha_conc),
+        ("dirichlet", 1.0, 2, 20): sample_search_rows(2, 20, 1500, 15_007, 1.0),
+        ("dirichlet", 2.0, 3, 30): sample_search_rows(3, 30, 1500, 15_008, 2.0),
+    }
 
 
 def mean_se(values):
@@ -253,7 +193,7 @@ def test_criterion_1_perfect_labeling(iterative_c1, batch_c1, sample_search_c1):
         "batch": batch_c1,
         "sample_search": sample_search_c1,
     }
-    errors = {name: sum(not r.correct for r in recs) for name, recs in groups.items()}
+    errors = {name: sum(not r["correct"] for r in recs) for name, recs in groups.items()}
     counts = {name: len(recs) for name, recs in groups.items()}
     ok = all(v == 0 for v in errors.values()) and all(v >= 1000 for v in counts.values())
     criterion(
@@ -266,10 +206,10 @@ def test_criterion_1_perfect_labeling(iterative_c1, batch_c1, sample_search_c1):
 
 def test_criterion_2_iterative_deterministic_bound(iterative_c1, iterative_d4):
     records = list(iterative_c1) + iterative_d4[2**8] + iterative_d4[2**16]
-    over = [r for r in records if r.queries > iterative.query_bound(r.d, r.n)]
-    outside = [r for r in records if not r.sandwich[0] <= r.queries <= r.sandwich[1]]
-    checked = [r for r in records if r.n == 2**8]
-    wrong = [r for r in checked if not r.signs_true]
+    over = [r for r in records if r["queries_total"] > iterative.query_bound(r["d"], r["n"])]
+    outside = [r for r in records if not r["sandwich"][0] <= r["queries_total"] <= r["sandwich"][1]]
+    checked = [r for r in records if r["n"] == 2**8]
+    wrong = [r for r in checked if not r["signs_true"]]
     criterion(
         2,
         "iterative query bound",
@@ -285,9 +225,9 @@ def test_criterion_3_segment_bound(iterative_c1, iterative_d4):
     violations = 0
     checked = 0
     for r in records:
-        for level, count in r.segment_counts.items():
+        for level, count in r["segment_counts"].items():
             checked += 1
-            if count > iterative.segment_bound(r.d, level):
+            if count > iterative.segment_bound(r["d"], level):
                 violations += 1
     criterion(
         3,
@@ -301,16 +241,9 @@ def test_criterion_4_batch_rounds():
     details = []
     ok = True
     for i, alpha in enumerate((0.35, 0.5, 1.0)):
-        rounds = []
-        params = batch.BatchParams(d=2, n=10**4, alpha=alpha)
-        for t in range(200):
-            rng = Seed(16_000 + i, t).rng()
-            inst = random_instance(10**4, RootModel("uniform", 2), rng)
-            oracle = Oracle(inst.hidden, QuerySet.full(2))
-            res = batch.learn_all(inst, oracle, params, rng)
-            assert np.array_equal(res.labels, true_labels(inst))
-            rounds.append(oracle.ledger.rounds)
-        mean = float(np.mean(rounds))
+        trials = rows(BATCH, 2, 10**4, 200, 16_000 + i, alphas=(alpha,))
+        assert all(r["correct"] for r in trials)
+        mean = float(np.mean([r["rounds"] for r in trials]))
         bound = 1 + 2 / alpha + 1
         ok &= mean <= bound
         details.append(f"alpha={alpha}: mean {mean:.2f} <= {bound:.2f}")
@@ -375,12 +308,12 @@ def test_criterion_7_average_case_scaling(avg_cells):
     ks_over = []
     search_over = 0
     for (_, _, d, n), recs in uniform.items():
-        ks = ks_statistic_discrete([r.z for r in recs], z_law_cdf_grid(n, d))
+        ks = ks_statistic_discrete([r["z"] for r in recs], z_law_cdf_grid(n, d))
         radius = dkw_radius(len(recs), len(uniform), DELTA)
         if ks > radius:
             ks_over.append((d, n, round(ks, 4), round(radius, 4)))
         cap = d * (math.ceil(math.log2(n)) + 2)
-        search_over += sum(r.total - r.z > cap for r in recs)
+        search_over += sum(r["queries_total"] - r["z"] > cap for r in recs)
     ratio1 = z_law_mean(2**16, 1) / z_law_mean(2**10, 1)
     ratio4 = z_law_mean(2**16, 4) / z_law_mean(2**10, 4)
     ok = not ks_over and ratio1 <= 2.2 and ratio4 <= 2.5 and not search_over
@@ -397,9 +330,9 @@ def test_criterion_7_average_case_scaling(avg_cells):
 def test_criterion_8_dirichlet_regimes(avg_cells):
     n12 = 2**12
     alpha_conc = float(math.ceil(math.log2(n12) ** 2))
-    m1, s1 = mean_se([r.total for r in avg_cells[("dirichlet", 1.0, 4, n12)]])
-    m2, s2 = mean_se([r.total for r in avg_cells[("dirichlet", 2.0, 4, n12)]])
-    mc, _ = mean_se([r.total for r in avg_cells[("dirichlet", alpha_conc, 4, n12)]])
+    m1, s1 = mean_se([r["queries_total"] for r in avg_cells[("dirichlet", 1.0, 4, n12)]])
+    m2, s2 = mean_se([r["queries_total"] for r in avg_cells[("dirichlet", 2.0, 4, n12)]])
+    mc, _ = mean_se([r["queries_total"] for r in avg_cells[("dirichlet", alpha_conc, 4, n12)]])
     slack = 3 * math.hypot(s1, s2)
     budget = 3 * 4 * math.log2(n12)
     ok = (m2 <= m1 + slack) and (mc <= budget)
@@ -415,7 +348,7 @@ def test_criterion_8_dirichlet_regimes(avg_cells):
 def test_criterion_9_entropy_floor(avg_cells):
     violations = []
     for (model, alpha, d, n), recs in avg_cells.items():
-        mean, se = mean_se([r.total for r in recs])
+        mean, se = mean_se([r["queries_total"] for r in recs])
         floor = entropy_lower_bound_uniform(n, d)
         if mean < floor - 3 * se:
             violations.append((model, alpha, d, n, "uniform"))

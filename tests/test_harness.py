@@ -21,8 +21,8 @@ from ptf_lab.harness import (
     run,
     verify_lower_bounds,
 )
+from ptf_lab.instances import true_labels
 from ptf_lab.oracle import Oracle, QuerySet
-from ptf_lab.sample_search import sample_and_search
 
 from util import dkw_radius, ks_statistic_discrete, z_law_cdf_grid, z_law_mean
 
@@ -49,6 +49,10 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def untimed(row):
+    return {k: v for k, v in row.items() if k != "wall_ms"}
+
+
 class TestRun:
     def test_row_count_and_correctness(self):
         result = run(small_config(d_values=(1, 2), n_values=(64, 128)))
@@ -66,8 +70,30 @@ class TestRun:
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run(small_config(learner=harness.BATCH, alphas=(0.5,), out=str(out1)))
         run(small_config(learner=harness.BATCH, alphas=(0.5,), out=str(out2)))
-        strip = lambda rows: [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
-        assert strip(read_csv(out1)) == strip(read_csv(out2))
+        assert list(map(untimed, read_csv(out1))) == list(map(untimed, read_csv(out2)))
+
+    @pytest.mark.parametrize("learner", [harness.ITERATIVE, harness.BATCH, harness.SAMPLE_SEARCH])
+    def test_run_trial_makes_the_rows_of_run(self, learner):
+        kw = {"alphas": (0.5,)} if learner == harness.BATCH else {}
+        cfg = small_config(learner=learner, d_values=(1, 3), trials=3, **kw)
+        for s, row in enumerate(run(cfg).rows):
+            trial = harness.run_trial(cfg, cfg.cells()[s // 3], s)
+            assert untimed(trial.row) == untimed(row)
+            assert (row["trial"], row["seed_stream"], row["correct"]) == (s % 3, s, True)
+            assert np.array_equal(trial.result.labels, true_labels(trial.instance))
+
+    @pytest.mark.parametrize("hook", [(harness, "random_instance"), (iterative, "learn_all")])
+    def test_a_trial_that_raises_has_no_instance_or_result(self, monkeypatch, hook):
+        def fail(*args, **kwargs):
+            raise ArithmeticError("no trial for this stream")
+
+        monkeypatch.setattr(*hook, fail)
+        cfg = small_config(d_values=(1, 2), trials=2)
+        for s, row in enumerate(run(cfg).rows):
+            trial = harness.run_trial(cfg, cfg.cells()[s // 2], s)
+            assert trial.instance is None and trial.result is None
+            assert untimed(trial.row) == untimed(row)
+            assert row["case"] == "ArithmeticError: no trial for this stream"
 
     def test_sample_search_records_z_and_case(self):
         result = run(
@@ -198,39 +224,30 @@ class TestRun:
         # at Dirichlet(0.1), d = 8 the float oracle's rounded coefficients can
         # give wrong signs between clustered roots; a row is correct exactly
         # when the learner's labels match the roots', counted here by brute force
-        d, n, master = 8, 4096, 99
-        result = run(
-            small_config(
-                learner=harness.SAMPLE_SEARCH,
-                model="dirichlet",
-                dirichlet_alpha=0.1,
-                d_values=(d,),
-                n_values=(n,),
-                trials=60,
-                master_seed=master,
-            )
+        cfg = small_config(
+            learner=harness.SAMPLE_SEARCH,
+            model="dirichlet",
+            dirichlet_alpha=0.1,
+            d_values=(8,),
+            n_values=(4096,),
+            trials=60,
+            master_seed=99,
         )
-        model = RootModel("dirichlet", d, 0.1)
         mislabelled = 0
-        for row in result.rows:
+        for stream in range(cfg.trials):
+            trial = harness.run_trial(cfg, cfg.cells()[0], stream)
+            row, inst = trial.row, trial.instance
             if row["z"] == "":  # DegreeViolation
                 assert not row["correct"]
                 continue
-            rng = Seed(master, row["seed_stream"]).rng()
-            inst = random_instance(n, model, rng)
-            oracle = Oracle(inst.hidden, QuerySet.label_only(d))
-            labels = sample_and_search(inst, oracle, d, rng).labels
             pts, roots = inst.points[:, None], np.array(inst.roots)[None, :]
             truth = np.where((pts == roots).any(axis=1), 1, (-1) ** (pts < roots).sum(axis=1))
-            agrees = np.array_equal(labels, truth)
-            assert row["correct"] == agrees, row["seed_stream"]
+            agrees = np.array_equal(trial.result.labels, truth)
+            assert row["correct"] == agrees, stream
             mislabelled += not agrees
         assert mislabelled >= 1
 
     def test_parallel_matches_serial(self):
-        def untimed(rows):
-            return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
-
         # 17 trials make 3 chunks of the pool's chunksize 8, so both workers run trials
         for cfg in (
             small_config(trials=17),
@@ -242,7 +259,7 @@ class TestRun:
                 parallel = run(cfg)
             finally:
                 del os.environ["PTF_LAB_THREADS"]
-            assert untimed(parallel.rows) == untimed(serial.rows), cfg.learner
+            assert list(map(untimed, parallel.rows)) == list(map(untimed, serial.rows)), cfg.learner
 
     def test_higher_orders_flattened_to_json(self):
         result = run(small_config(d_values=(6,), n_values=(64,), trials=2))
@@ -267,9 +284,13 @@ class TestRun:
             small_config(learner="magic")
         with pytest.raises(ValueError):
             small_config(backend="exakt")
+        with pytest.raises(ValueError, match="batch learner only"):
+            small_config(alphas=(0.5,))  # iterative
+        with pytest.raises(ValueError, match="batch learner only"):
+            cli.main(["run", "--learner", "sample_search", "--d", "2", "--n", "8", "--alpha", ".5"])
 
     def test_bad_cells_raise_before_any_trial(self, monkeypatch):
-        monkeypatch.setattr(harness, "_run_single_trial", None)  # never reached
+        monkeypatch.setattr(harness, "run_trial", None)  # never reached
         bad = [
             dict(learner=harness.BATCH, alphas=(0.5, 0.05), n_values=(1024,)),  # alpha <= 1/ln n
             dict(learner=harness.BATCH, alphas=(1.5,)),
