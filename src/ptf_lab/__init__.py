@@ -8,7 +8,7 @@ from .polynomial import (
     from_roots,
     sign_of,
 )
-from .oracle import DisallowedOrder, Oracle, QueryLedger, QuerySet
+from .oracle import DisallowedOrder, Oracle
 from .instances import Instance, true_labels
 from .distributions import EXACT, FLOAT, RootModel, Seed, random_instance, uniform_points
 
@@ -23,8 +23,6 @@ __all__ = [
     "sign_of",
     "DisallowedOrder",
     "Oracle",
-    "QueryLedger",
-    "QuerySet",
     "Instance",
     "true_labels",
     "RootModel",

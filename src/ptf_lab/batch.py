@@ -125,9 +125,12 @@ class BatchResult:
 def learn_all(
     instance: Instance, oracle: Oracle, params: BatchParams, rng: np.random.Generator
 ) -> BatchResult:
-    """Label every point using batched pattern queries plus restricted inference."""
+    """Label every point using batched pattern queries plus restricted inference.
+
+    Requires a full oracle (orders 0..d-1).
+    """
     d, n = instance.d, instance.n
-    if not oracle.qset.is_full() or oracle.d != d:
+    if oracle.orders != d:
         raise ValueError("batch learner needs orders 0..d-1")
     if params.d != d or params.n != n:
         raise ValueError("params do not match the instance")

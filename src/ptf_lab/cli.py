@@ -47,6 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--random-leading", action="store_true",
                        help="flip the hidden leading sign with probability 1/2")
     p_run.add_argument("--out", default=None, help="CSV output path (JSON sidecar alongside)")
+    p_run.set_defaults(usage_error=p_run.error)  # reports as "ptf-lab run: error: ..."
 
     p_verify = sub.add_parser("verify-lower-bounds", help="verify witness constructions")
     p_verify.add_argument("--interval-n", type=int, default=20)
@@ -68,19 +69,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "run":
-        config = harness.ExperimentConfig(
-            learner=args.learner,
-            d_values=args.d,
-            n_values=args.n,
-            trials=args.trials,
-            master_seed=args.seed,
-            backend=args.backend,
-            alphas=args.alpha,
-            model=args.model,
-            dirichlet_alpha=args.dirichlet_alpha,
-            random_leading=args.random_leading,
-            out=args.out,
-        )
+        try:
+            config = harness.ExperimentConfig(
+                learner=args.learner,
+                d_values=args.d,
+                n_values=args.n,
+                trials=args.trials,
+                master_seed=args.seed,
+                backend=args.backend,
+                alphas=args.alpha,
+                model=args.model,
+                dirichlet_alpha=args.dirichlet_alpha,
+                random_leading=args.random_leading,
+                out=args.out,
+            )
+        except ValueError as exc:  # an invalid configuration is a usage error
+            args.usage_error(str(exc))
         result = harness.run(config)
         for stats in result.cell_stats:
             print(json.dumps(stats))

@@ -3,14 +3,16 @@
 ``run_trial(config, cell, stream)`` is the one function that makes a trial:
 it draws RNG stream ``stream`` of the master seed, runs one learner on one
 fresh random instance and returns a ``Trial`` (CSV row, instance and
-learner result).  A sweep's stream is cell index * trials + trial index, so
-stream t of a one-cell sweep is trial t.  ``backend`` names the draw mode
-(``distributions.EXACT`` or ``FLOAT``), which picks how the instance's roots
-and points are drawn; signs are evaluated exactly in either mode.  ``model``
-picks the root distribution of every learner's instances.  The row's
-``correct`` says whether every label equals the ground truth that
-``instances.true_labels`` reads off the instance's roots, which shares no
-code with the oracle's sign evaluation.
+learner result).  sample_search gets a label-only oracle (order 0 only);
+iterative and batch get a full one (orders 0..d-1).  A sweep's stream is
+cell index * trials + trial index, so stream t of a one-cell sweep is
+trial t.  ``backend`` names the draw mode (``distributions.EXACT`` or
+``FLOAT``), which picks how the instance's roots and points are drawn;
+signs are evaluated exactly in either mode.  ``model`` picks the root
+distribution of every learner's instances.  The row's ``correct`` says
+whether every label equals the ground truth that ``instances.true_labels``
+reads off the instance's roots, which shares no code with the oracle's
+sign evaluation.
 Batch rows also carry the learner's ``iterations``, ``loop_rounds`` and
 ``final_round``, which other learners leave empty.  A trial that raises, in
 generation, learning or the check, still yields its row, with ``correct``
@@ -54,7 +56,7 @@ from .distributions import (
     random_instance,
 )
 from .instances import Instance, true_labels
-from .oracle import Oracle, QueryLedger, QuerySet
+from .oracle import Oracle
 
 ITERATIVE = "iterative"
 BATCH = "batch"
@@ -180,10 +182,7 @@ def run_trial(config: ExperimentConfig, cell: dict, stream: int) -> Trial:
             random_leading=config.random_leading,
         )
         start = time.perf_counter()
-        if config.learner == SAMPLE_SEARCH:
-            oracle = Oracle(instance.hidden, QuerySet.label_only(d))
-        else:
-            oracle = Oracle(instance.hidden, QuerySet.full(d))
+        oracle = Oracle(instance.hidden, d, label_only=config.learner == SAMPLE_SEARCH)
         if config.learner == ITERATIVE:
             result = iterative.learn_all(instance, oracle)
         elif config.learner == BATCH:
@@ -203,19 +202,18 @@ def run_trial(config: ExperimentConfig, cell: dict, stream: int) -> Trial:
         row["case"] = f"{type(exc).__name__}: {exc}"
         instance = result = None
 
-    ledger = oracle.ledger if oracle is not None else QueryLedger(0, 0, {})
-    per_order = ledger.per_order
+    per_order = list(oracle.per_order) if oracle is not None else []
+    per_order += [0] * (4 - len(per_order))  # orders 0..3 have columns of their own
+    higher = {str(o): c for o, c in enumerate(per_order) if o > 3 and c}
     row.update(
         {
-            "queries_total": ledger.total,
-            "queries_order0": per_order.get(0, 0),
-            "queries_order1": per_order.get(1, 0),
-            "queries_order2": per_order.get(2, 0),
-            "queries_order3": per_order.get(3, 0),
-            "queries_higher_json": json.dumps(
-                {str(o): c for o, c in sorted(per_order.items()) if o > 3}
-            ),
-            "rounds": ledger.rounds,
+            "queries_total": sum(per_order),
+            "queries_order0": per_order[0],
+            "queries_order1": per_order[1],
+            "queries_order2": per_order[2],
+            "queries_order3": per_order[3],
+            "queries_higher_json": json.dumps(higher),
+            "rounds": oracle.rounds if oracle is not None else 0,
             "correct": correct,
             "wall_ms": f"{wall_ms:.3f}",
         }

@@ -70,11 +70,11 @@ class IterativeResult:
 def learn_all(instance: Instance, oracle: Oracle) -> IterativeResult:
     """Learn signs of every derivative level from d-1 down to 0.
 
-    Requires the full query set (orders 0..d-1).  Output labels are exact on
+    Requires a full oracle (orders 0..d-1).  Output labels are exact on
     every instance; total queries never exceed query_bound(d, n).
     """
     d = instance.d
-    if not oracle.qset.is_full() or oracle.d != d:
+    if oracle.orders != d:
         raise ValueError("iterative learner needs orders 0..d-1")
     xs = instance.points.tolist()  # Python floats: no numpy scalar per probe
     n = len(xs)

@@ -136,11 +136,11 @@ def sample_and_search(
 
     # locate each flip boundary among the points strictly between the last
     # probe of run j and the first probe of run j+1
-    before = oracle.ledger.total
+    before = oracle.queries
     boundaries = [
         find_flip(ask, ends[2 * j + 1], ends[2 * j + 2], run_signs[j]) for j in range(flips)
     ]
-    search_queries = oracle.ledger.total - before
+    search_queries = oracle.queries - before
 
     sign = run_signs[0]
     prev = 0

@@ -42,7 +42,7 @@ from ptf_lab.distributions import (
 )
 from ptf_lab.harness import BATCH, ITERATIVE, SAMPLE_SEARCH, ExperimentConfig, run, run_trial
 from ptf_lab.harness import verify_lower_bounds
-from ptf_lab.oracle import Oracle, QuerySet
+from ptf_lab.oracle import Oracle
 
 from util import (
     dkw_radius,
@@ -387,9 +387,9 @@ def test_criterion_11_cross_learner_sanity():
     for t in range(50):
         rng = Seed(19_000, t).rng()
         inst = random_instance(512, RootModel("uniform", 3), rng)
-        o1 = Oracle(inst.hidden, QuerySet.full(3))
+        o1 = Oracle(inst.hidden, 3)
         res_iter = iterative.learn_all(inst, o1)
-        o2 = Oracle(inst.hidden, QuerySet.full(3))
+        o2 = Oracle(inst.hidden, 3)
         params = batch.BatchParams(d=3, n=512, alpha=0.5)
         res_batch = batch.learn_all(inst, o2, params, Seed(19_500, t).rng())
         if not np.array_equal(res_iter.labels, res_batch.labels):

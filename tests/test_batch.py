@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from ptf_lab.batch import BatchParams, infer_labels, learn_all
 from ptf_lab.instances import true_labels
-from ptf_lab.oracle import Oracle, QuerySet
+from ptf_lab.oracle import Oracle
 
 from util import (
     full_oracle,
     infer_at,
+    label_oracle,
     make_instance,
     pattern_block,
     restricted_infer,
@@ -177,7 +178,7 @@ class TestLearnAll:
         params = BatchParams(d=2, n=100, alpha=1.0)  # m = 1800 >= n
         res = learn_all(inst, oracle, params, trial_rng(32))
         assert np.array_equal(res.labels, true_labels(inst))
-        assert oracle.ledger.rounds == 1
+        assert oracle.rounds == 1
         assert res.loop_rounds == 0 and res.final_round
 
     def test_rounds_accounting(self):
@@ -186,7 +187,7 @@ class TestLearnAll:
             oracle = full_oracle(inst)
             params = BatchParams(d=2, n=4000, alpha=0.4)
             res = learn_all(inst, oracle, params, trial_rng(seed + 100))
-            assert oracle.ledger.rounds == res.loop_rounds + int(res.final_round)
+            assert oracle.rounds == res.loop_rounds + int(res.final_round)
             assert np.array_equal(res.labels, true_labels(inst))
 
     def test_exact_backend_perfect(self):
@@ -224,10 +225,12 @@ class TestLearnAll:
             learn_all(inst, full_oracle(inst), BatchParams(d=2, n=128, alpha=0.5), trial_rng(0))
 
     def test_rejects_restricted_oracle(self):
+        # a label-only oracle, and a full one of another degree bound
         inst = make_instance(64, 3, seed=1)
-        oracle = Oracle(inst.hidden, QuerySet(3, frozenset({0, 1})))
-        with pytest.raises(ValueError):
-            learn_all(inst, oracle, BatchParams(d=3, n=64, alpha=0.5), trial_rng(0))
+        for oracle in (label_oracle(inst), Oracle(inst.hidden, 4)):
+            with pytest.raises(ValueError, match="needs orders 0..d-1"):
+                learn_all(inst, oracle, BatchParams(d=3, n=64, alpha=0.5), trial_rng(0))
+            assert oracle.queries == 0
 
 
 class TestLogScaling:
@@ -247,7 +250,7 @@ class TestLogScaling:
                 oracle = full_oracle(inst)
                 res = learn_all(inst, oracle, params, rng)
                 assert np.array_equal(res.labels, true_labels(inst))
-                totals.append(oracle.ledger.total)
+                totals.append(oracle.queries)
             return float(np.mean(totals))
 
         pilot = mean_total(2**10, seed0=51)

@@ -22,7 +22,7 @@ from ptf_lab.harness import (
     verify_lower_bounds,
 )
 from ptf_lab.instances import true_labels
-from ptf_lab.oracle import Oracle, QuerySet
+from ptf_lab.oracle import Oracle
 
 from util import dkw_radius, ks_statistic_discrete, z_law_cdf_grid, z_law_mean
 
@@ -118,13 +118,13 @@ class TestRun:
         class AlternatingOracle(Oracle):
             def query(self, x, order):
                 super().query(x, order)
-                return 1 if self.ledger.total % 2 else -1
+                return 1 if self.queries % 2 else -1
 
         made = []
 
-        def oracle(hidden, qset):
+        def oracle(hidden, d, **kw):
             made.append(hidden)
-            return (AlternatingOracle if len(made) == 5 else Oracle)(hidden, qset)
+            return (AlternatingOracle if len(made) == 5 else Oracle)(hidden, d, **kw)
 
         monkeypatch.setattr(harness, "Oracle", oracle)
         out = tmp_path / "ss.csv"
@@ -196,7 +196,7 @@ class TestRun:
             assert row["correct"] and row["case"] == "", row
             rng = Seed(master, row["seed_stream"]).rng()
             inst = random_instance(n, model, rng, backend=EXACT)
-            oracle = Oracle(inst.hidden, QuerySet.full(d))
+            oracle = Oracle(inst.hidden, d)
             if learner == harness.BATCH:
                 params = batch.BatchParams(d=d, n=n, alpha=0.5)
                 res = batch.learn_all(inst, oracle, params, rng)
@@ -205,7 +205,7 @@ class TestRun:
             else:
                 iterative.learn_all(inst, oracle)
                 assert row["queries_total"] <= iterative.query_bound(d, n)
-            assert row["queries_total"] == oracle.ledger.total
+            assert row["queries_total"] == oracle.queries
         cell = json.loads(out.with_suffix(".json").read_text())["cells"][0]
         assert cell["model"] == "dirichlet" and cell["all_correct"]
 
@@ -261,7 +261,14 @@ class TestRun:
                 del os.environ["PTF_LAB_THREADS"]
             assert list(map(untimed, parallel.rows)) == list(map(untimed, serial.rows)), cfg.learner
 
-    def test_higher_orders_flattened_to_json(self):
+    def test_higher_orders_flattened_to_json(self, monkeypatch):
+        made = []
+
+        def recording(*args, **kw):
+            made.append(Oracle(*args, **kw))
+            return made[-1]
+
+        monkeypatch.setattr(harness, "Oracle", recording)
         result = run(small_config(d_values=(6,), n_values=(64,), trials=2))
         row = result.rows[0]
         extra = json.loads(row["queries_higher_json"])
@@ -274,8 +281,32 @@ class TestRun:
             + sum(extra.values())
         )
         assert per_order_sum == row["queries_total"]
+        # iterative d = 6 asks every order 0..5; orders 4 and 5 go to the JSON
+        counts = made[0].per_order
+        assert len(counts) == 6 and counts[4] > 0 and counts[5] > 0
+        assert row["queries_higher_json"] == json.dumps({"4": counts[4], "5": counts[5]})
+        assert [row[f"queries_order{o}"] for o in range(4)] == list(counts[:4])
+        assert row["rounds"] == made[0].rounds == row["queries_total"]
 
-    def test_validation(self):
+        # a label-only d = 6 oracle counts order 0 only
+        row = run(small_config(learner=harness.SAMPLE_SEARCH, d_values=(6,), trials=1)).rows[0]
+        assert row["queries_order0"] == row["queries_total"] == made[-1].queries > 0
+        assert [row[f"queries_order{o}"] for o in (1, 2, 3)] == [0, 0, 0]
+        assert row["queries_higher_json"] == "{}"
+
+        # a trial that raises before its oracle is built counts nothing
+        def broken(*args, **kw):
+            raise RuntimeError("no instance")
+
+        monkeypatch.setattr(harness, "random_instance", broken)
+        row = run(small_config(d_values=(6,), trials=1)).rows[0]
+        assert row["case"] == "RuntimeError: no instance"
+        counts = [row["queries_total"], row["rounds"]]
+        counts += [row[f"queries_order{o}"] for o in range(4)]
+        assert counts == [0] * 6
+        assert row["queries_higher_json"] == "{}"
+
+    def test_validation(self, capsys):
         with pytest.raises(ValueError):
             small_config(trials=0)
         with pytest.raises(ValueError):
@@ -286,8 +317,17 @@ class TestRun:
             small_config(backend="exakt")
         with pytest.raises(ValueError, match="batch learner only"):
             small_config(alphas=(0.5,))  # iterative
-        with pytest.raises(ValueError, match="batch learner only"):
-            cli.main(["run", "--learner", "sample_search", "--d", "2", "--n", "8", "--alpha", ".5"])
+        # the CLI reports an invalid configuration as a usage error
+        for extra, message in [
+            (["--learner", "sample_search", "--alpha", ".5"], "alphas apply to the batch"),
+            (["--learner", "iterative", "--alpha", "0.5"], "alphas apply to the batch"),
+            (["--learner", "batch", "--alpha", "1.5"], "alpha must lie in"),
+            (["--learner", "iterative", "--trials", "0"], "trials must be at least 1"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["run", "--d", "2", "--n", "8", *extra])
+            assert exc.value.code == 2
+            assert f"ptf-lab run: error: {message}" in capsys.readouterr().err
 
     def test_bad_cells_raise_before_any_trial(self, monkeypatch):
         monkeypatch.setattr(harness, "run_trial", None)  # never reached

@@ -8,10 +8,10 @@ import pytest
 from ptf_lab.distributions import EXACT, FLOAT, RootModel, random_instance
 from ptf_lab.instances import Instance, true_labels
 from ptf_lab.iterative import learn_all, query_bound, segment_bound
-from ptf_lab.oracle import Oracle, QuerySet
+from ptf_lab.oracle import Oracle
 from ptf_lab.polynomial import Polynomial, from_roots
 
-from util import full_oracle, make_instance, trial_rng, true_signs
+from util import full_oracle, label_oracle, make_instance, trial_rng, true_signs
 
 F = Fraction
 
@@ -20,7 +20,7 @@ class RecordingOracle(Oracle):
     """An oracle that keeps every (x, order) it is asked, in order."""
 
     def __init__(self, instance):
-        super().__init__(instance.hidden, QuerySet.full(instance.d))
+        super().__init__(instance.hidden, instance.d)
         self.asked = []
 
     def query(self, x, order):
@@ -78,22 +78,22 @@ class TestBinarySearchSegment:
         oracle = full_oracle(inst)
         res = learn_all(inst, oracle)
         assert list(res.level_signs[1]) == [-1, 1, 1, 1]
-        assert oracle.ledger.per_order[1] == 3  # endpoints plus one midpoint
-        assert oracle.ledger.per_order[1] <= 2 + 2  # stated budget: 2 + ceil(log2 3)
+        assert oracle.per_order[1] == 3  # endpoints plus one midpoint
+        assert oracle.per_order[1] <= 2 + 2  # stated budget: 2 + ceil(log2 3)
 
     def test_equal_endpoints_cost_two(self):
         inst = Instance(points=(3, 4, 5, 6, 7), hidden=Polynomial([2, -3, 1]), d=2, roots=(1, 2))
         oracle = full_oracle(inst)
         res = learn_all(inst, oracle)
         assert list(res.labels) == [1] * 5
-        assert oracle.ledger.per_order == {1: 2, 0: 2}
+        assert oracle.per_order == (2, 2)
 
     def test_single_point_costs_one(self):
         inst = Instance(points=(3,), hidden=Polynomial([2, -3, 1]), d=2, roots=(1, 2))
         oracle = full_oracle(inst)
         res = learn_all(inst, oracle)
         assert list(res.labels) == [1]
-        assert oracle.ledger.per_order == {1: 1, 0: 1}
+        assert oracle.per_order == (1, 1)
 
 
 class TestLearnAll:
@@ -102,7 +102,7 @@ class TestLearnAll:
         oracle = full_oracle(inst)
         res = learn_all(inst, oracle)
         assert np.array_equal(res.labels, true_labels(inst))
-        assert oracle.ledger.total <= query_bound(1, 1024) == 12
+        assert oracle.queries <= query_bound(1, 1024) == 12
 
     def test_quadratic_fixed_roots(self):
         rng = np.random.default_rng(5)
@@ -111,7 +111,7 @@ class TestLearnAll:
         oracle = full_oracle(inst)
         res = learn_all(inst, oracle)
         assert np.array_equal(res.labels, true_labels(inst))
-        assert oracle.ledger.total <= query_bound(2, 1024) == 36
+        assert oracle.queries <= query_bound(2, 1024) == 36
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_query_bound_closed_form(self, d):
@@ -126,7 +126,7 @@ class TestLearnAll:
             inst = make_instance(4096, 3, seed=seed)
             oracle = full_oracle(inst)
             res = learn_all(inst, oracle)
-            assert oracle.ledger.total <= bound
+            assert oracle.queries <= bound
             assert np.array_equal(res.labels, true_labels(inst))
 
     def test_level_soundness_and_segment_bounds(self):
@@ -143,13 +143,16 @@ class TestLearnAll:
         inst = make_instance(256, 3, seed=1)
         oracle = full_oracle(inst)
         learn_all(inst, oracle)
-        assert all(order < inst.d for order in oracle.ledger.per_order)
+        # each of orders 0..d-1 is asked, and no other
+        assert len(oracle.per_order) == inst.d and all(oracle.per_order)
 
     def test_rejects_restricted_oracle(self):
+        # a label-only oracle, and a full one of another degree bound
         inst = make_instance(64, 3, seed=2)
-        oracle = Oracle(inst.hidden, QuerySet(3, frozenset({0, 2})))
-        with pytest.raises(ValueError):
-            learn_all(inst, oracle)
+        for oracle in (label_oracle(inst), Oracle(inst.hidden, 4)):
+            with pytest.raises(ValueError, match="needs orders 0..d-1"):
+                learn_all(inst, oracle)
+            assert oracle.queries == 0
 
     def test_exact_perfectness_small_instances(self):
         for seed in range(30):
@@ -158,7 +161,7 @@ class TestLearnAll:
             oracle = full_oracle(inst)
             res = learn_all(inst, oracle)
             assert np.array_equal(res.labels, true_labels(inst))
-            assert oracle.ledger.total <= query_bound(d, 40)
+            assert oracle.queries <= query_bound(d, 40)
 
     @pytest.mark.parametrize("backend", [EXACT, FLOAT])
     @pytest.mark.parametrize("d", range(1, 9))
@@ -174,5 +177,5 @@ class TestLearnAll:
                     oracle = RecordingOracle(inst)
                     res = learn_all(inst, oracle)
                     assert len(set(oracle.asked)) == len(oracle.asked), (model, n, seed)
-                    assert len(oracle.asked) == oracle.ledger.total <= query_bound(d, n)
+                    assert len(oracle.asked) == oracle.queries <= query_bound(d, n)
                     assert np.array_equal(res.labels, true_labels(inst))

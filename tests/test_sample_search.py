@@ -20,7 +20,7 @@ from ptf_lab.distributions import (
     uniform_points,
 )
 from ptf_lab.instances import Instance, true_labels
-from ptf_lab.oracle import Oracle, QuerySet
+from ptf_lab.oracle import Oracle
 from ptf_lab.polynomial import Polynomial, from_roots
 from ptf_lab.sample_search import DegreeViolation, sample_and_search
 
@@ -58,7 +58,7 @@ class TestSampleAndSearch:
         assert res.case == "b"
         assert res.z == 2
         assert list(res.labels) == [-1, 1]
-        assert res.total == oracle.ledger.total
+        assert res.total == oracle.queries
 
     def test_perfect_labeling_over_seeds(self):
         for seed in range(60):
@@ -69,7 +69,7 @@ class TestSampleAndSearch:
             assert np.array_equal(res.labels, true_labels(inst)), seed
             assert res.flips <= d
             assert res.search_queries <= d * (math.ceil(math.log2(300)) + 2)
-            assert res.total == res.z + res.search_queries == oracle.ledger.total
+            assert res.total == res.z + res.search_queries == oracle.queries
 
     def test_exact_backend(self):
         for seed in range(10):
@@ -104,9 +104,9 @@ class TestSampleAndSearch:
 
     def test_only_label_queries_needed(self):
         inst = make_instance(100, 3, seed=900)
-        oracle = Oracle(inst.hidden, QuerySet.label_only(3))
+        oracle = Oracle(inst.hidden, 3, label_only=True)
         res = sample_and_search(inst, oracle, 3, trial_rng(901))
-        assert set(oracle.ledger.per_order) <= {0}
+        assert oracle.per_order == (oracle.queries,)
         assert np.array_equal(res.labels, true_labels(inst))
 
 
@@ -114,7 +114,7 @@ class RecordingOracle(Oracle):
     """A label-only oracle that keeps every (x, order) it is asked, in order."""
 
     def __init__(self, instance):
-        super().__init__(instance.hidden, QuerySet.label_only(instance.d))
+        super().__init__(instance.hidden, instance.d, label_only=True)
         self.asked = []
 
     def query(self, x, order):
@@ -127,14 +127,14 @@ def run_recorded(learner, inst, d_roots, seed):
 
 
 def run_with(learner, inst, d_roots, rng):
-    """The learner's result (or DegreeViolation message), queries and ledger."""
+    """The learner's result (or DegreeViolation message), queries and counts."""
     oracle = RecordingOracle(inst)
     try:
         res = learner(inst, oracle, d_roots, rng)
         out = (res.z, res.case, res.flips, res.search_queries, res.labels.tolist())
     except DegreeViolation as exc:
         out = str(exc)
-    return out, oracle.asked, oracle.ledger
+    return out, oracle.asked, (oracle.queries, oracle.rounds, oracle.per_order)
 
 
 @pytest.mark.parametrize("alpha", [None, 0.1])
@@ -152,11 +152,11 @@ def test_matches_reference_rule(n, alpha, seed, d, backend, fewer):
     model = RootModel("uniform", d) if alpha is None else RootModel("dirichlet", d, alpha)
     inst = random_instance(n, model, trial_rng(seed), backend=backend, random_leading=True)
     d_roots = max(d - fewer, 0)
-    got, got_asked, got_ledger = run_recorded(sample_and_search, inst, d_roots, seed)
-    want, want_asked, want_ledger = run_recorded(reference_sample_and_search, inst, d_roots, seed)
+    got, got_asked, got_counts = run_recorded(sample_and_search, inst, d_roots, seed)
+    want, want_asked, want_counts = run_recorded(reference_sample_and_search, inst, d_roots, seed)
     assert got_asked == want_asked
     assert got == want
-    assert got_ledger == want_ledger
+    assert got_counts == want_counts
 
 
 TEN_POINTS = [(i + 0.5) / 10 for i in range(10)]
@@ -198,9 +198,9 @@ PHASE_ONE_CASES = {
 def test_phase_one_branches_match_reference(name):
     points, roots, leading, d_roots, order, want = PHASE_ONE_CASES[name]
     inst = Instance(np.array(points), from_roots(roots, leading=leading), len(roots), roots)
-    got, got_asked, got_ledger = run_with(sample_and_search, inst, d_roots, FixedOrder(order))
+    got, got_asked, got_counts = run_with(sample_and_search, inst, d_roots, FixedOrder(order))
     ref = run_with(reference_sample_and_search, inst, d_roots, FixedOrder(order))
-    assert (got, got_asked, got_ledger) == ref
+    assert (got, got_asked, got_counts) == ref
     if want is None:
         assert got == f"1 flips seen but only {d_roots} roots promised"
     else:
@@ -255,9 +255,9 @@ def test_exact_edge_cases_match_reference(n, beside_roots, leading, seed, d, few
     if beside_roots:
         points = on_and_beside_roots(points, roots)
     inst = Instance(points, from_roots(roots, leading=leading), d, roots)
-    got, got_asked, got_ledger = run_recorded(sample_and_search, inst, d_roots, seed)
+    got, got_asked, got_counts = run_recorded(sample_and_search, inst, d_roots, seed)
     want = run_recorded(reference_sample_and_search, inst, d_roots, seed)
-    assert (got, got_asked, got_ledger) == want
+    assert (got, got_asked, got_counts) == want
     assert not isinstance(got, str), got  # the promise holds, so nothing raises
     *_, search_queries, labels = got
     assert labels == true_labels(inst).tolist()

@@ -13,7 +13,7 @@ from ptf_lab.adversarial import Witness
 from ptf_lab.batch import infer_labels
 from ptf_lab.distributions import RootModel, Seed, random_instance
 from ptf_lab.instances import Instance
-from ptf_lab.oracle import Oracle, QuerySet
+from ptf_lab.oracle import Oracle
 from ptf_lab.iterative import find_flip
 from ptf_lab.polynomial import Polynomial, eval_sign_block
 from ptf_lab.sample_search import AvgCaseResult, DegreeViolation
@@ -46,11 +46,11 @@ def make_instance(n, d, seed, backend="float", model="uniform", alpha=None):
 
 
 def full_oracle(instance: Instance) -> Oracle:
-    return Oracle(instance.hidden, QuerySet.full(instance.d))
+    return Oracle(instance.hidden, instance.d)
 
 
 def label_oracle(instance: Instance) -> Oracle:
-    return Oracle(instance.hidden, QuerySet.label_only(instance.d))
+    return Oracle(instance.hidden, instance.d, label_only=True)
 
 
 def frac(num, den=1) -> Fraction:
