@@ -74,10 +74,7 @@ class BatchParams:
 
     @property
     def t(self) -> int:
-        ratio = self.m / (2 * self.k)
-        if ratio <= 1:
-            raise ValueError("batch size must exceed 2k")
-        return math.ceil(math.log(self.n) / math.log(ratio))
+        return math.ceil(math.log(self.n) / math.log(self.m / (2 * self.k)))
 
     @property
     def coverage_threshold(self) -> float:

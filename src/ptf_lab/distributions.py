@@ -220,9 +220,3 @@ def dirichlet_multinomial_entropy(n: int, d: int, alpha: float) -> float:
             entropy_nats -= p * logp
     assert abs(total_p - 1.0) < 1e-9, "pmf must sum to 1"
     return entropy_nats / math.log(2)
-
-
-def dirichlet_entropy_surrogate(n: int, d: int) -> float:
-    """Asymptotic stand-in (d-1) * log2 n for sweeps where the exact
-    summation is infeasible.  Callers must flag results as surrogate."""
-    return (d - 1) * math.log2(n)

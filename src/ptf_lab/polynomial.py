@@ -1,9 +1,9 @@
 """Dense univariate polynomials with rational coefficients and one certified sign kernel.
 
-A polynomial is a coefficient vector (index i = coefficient of x**i).  Every
-coefficient -- an int, ``Fraction``, float or numpy integer -- is read as the
-exact rational it denotes, and ``coeffs`` keeps them as given.  At
-construction a polynomial also stores
+A polynomial is a coefficient vector (index i = coefficient of x**i), and
+``Polynomial`` is its one class.  Every coefficient -- an int, ``Fraction``,
+float or numpy integer -- is read as the exact rational it denotes.  At
+construction a polynomial stores
 
 - ``_ints``: the coefficients as integers c_i over their positive lcm
   denominator ``_den``;
@@ -48,9 +48,11 @@ sum(c_i a**i b**(deg-i)) = D * b**deg * p(x).  NaN and infinite points and
 coefficients raise (ValueError and OverflowError, from ``as_integer_ratio``);
 they get no sign.
 
-A derivative is built on the integers alone (i * c_i over the same D), and
-an exact ``from_roots`` expansion on the integers of prod(b_i x - a_i); their
-``Fraction`` coefficients are made only when ``coeffs`` is read.
+A derivative (i * c_i over the same D) and an exact ``from_roots`` expansion
+(the integers of prod(b_i x - a_i)) are built by ``_from_ints`` from their
+integers alone.  Until the float ``from_roots`` branch goes, ``coeffs`` has
+two meanings: as given to ``Polynomial(coeffs)``, or ``Fraction``s made from
+the integers on first read and kept.
 
 These signs are what the oracle answers.  Ground truth for labels does not
 come from here: ``instances.true_labels`` reads it off the hidden
@@ -96,14 +98,15 @@ _set = object.__setattr__  # bypasses Polynomial.__setattr__, which forbids muta
 
 
 class Polynomial:
-    """Immutable dense polynomial with exact rational coefficients.
+    """Immutable dense polynomial with exact rational coefficients, made by
+    ``Polynomial(coeffs)`` or, from integers over a denominator, ``_from_ints``.
 
     ``coeffs`` has trailing zeros stripped, so the last entry is the leading
     coefficient unless the polynomial is identically zero (empty tuple,
     degree -1).  ``degree`` is the highest index with a nonzero coefficient.
     """
 
-    __slots__ = ("coeffs", "degree", "_ints", "_den", "_floats", "_bound")
+    __slots__ = ("_coeffs", "degree", "_ints", "_den", "_floats", "_bound")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         coeffs = list(coeffs)
@@ -111,11 +114,11 @@ class Polynomial:
             coeffs.pop()
         ratios = [_ratio(c) for c in coeffs]
         den = math.lcm(*(b for _, b in ratios))
-        _set(self, "coeffs", tuple(coeffs))
-        self._set_exact(tuple(a * (den // b) for a, b in ratios), den)
+        self._set_exact(tuple(a * (den // b) for a, b in ratios), den, tuple(coeffs))
 
-    def _set_exact(self, ints: tuple[int, ...], den: int) -> None:
-        """Store the integer coefficients, their float copy and its error bound."""
+    def _set_exact(self, ints: tuple[int, ...], den: int, coeffs: tuple | None) -> None:
+        """Store the coefficients (None: made on first read), integers, floats and bound."""
+        _set(self, "_coeffs", coeffs)
         _set(self, "_ints", ints)
         _set(self, "_den", den)
         try:
@@ -135,8 +138,22 @@ class Polynomial:
         _set(self, "_floats", floats)
         _set(self, "_bound", bound)
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as given, or, for a polynomial built from
+        integers, ``Fraction``s made on first read and kept."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            coeffs = tuple(Fraction(c, self._den) for c in self._ints)
+            _set(self, "_coeffs", coeffs)
+        return coeffs
+
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        """Copy and pickle through the constructor; ``__setattr__`` forbids restoring slots."""
+        return Polynomial, (self.coeffs,)
 
     @property
     def leading_sign(self) -> int:
@@ -185,7 +202,7 @@ class Polynomial:
         ints = self._ints
         for _ in range(order):
             ints = tuple(i * ints[i] for i in range(1, len(ints)))
-        return _IntegerPolynomial(ints, self._den)
+        return _from_ints(ints, self._den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs
@@ -228,28 +245,11 @@ def eval_sign_block(polys: Sequence[Polynomial], xs: Sequence[Scalar]) -> np.nda
     return signs
 
 
-class _IntegerPolynomial(Polynomial):
-    """A polynomial built from integers over a positive denominator: a
-    derivative (i * c_i over the parent's denominator) or an exact
-    ``from_roots`` expansion.  Its ``Fraction`` coefficients, which the
-    oracle never reads, are made on first use of ``coeffs``."""
-
-    __slots__ = ()
-
-    def __init__(self, ints: tuple[int, ...], den: int):
-        self._set_exact(ints, den)
-
-    @property
-    def coeffs(self) -> tuple:
-        try:
-            return _COEFFS_SLOT.__get__(self)
-        except AttributeError:
-            coeffs = tuple(Fraction(c, self._den) for c in self._ints)
-            _COEFFS_SLOT.__set__(self, coeffs)
-            return coeffs
-
-
-_COEFFS_SLOT = Polynomial.coeffs
+def _from_ints(ints: tuple[int, ...], den: int) -> Polynomial:
+    """sum(ints[i] x**i) / den as stored (den > 0, no trailing zero)."""
+    p = object.__new__(Polynomial)
+    p._set_exact(ints, den, None)
+    return p
 
 
 def from_roots(roots: Sequence[Scalar], leading: int = 1) -> Polynomial:
@@ -280,7 +280,7 @@ def from_roots(roots: Sequence[Scalar], leading: int = 1) -> Polynomial:
                 nxt[i + 1] += b * c
             ints, den = nxt, den * b
         g = math.gcd(den, *ints)
-        return _IntegerPolynomial(tuple(c // g for c in ints), den // g)
+        return _from_ints(tuple(c // g for c in ints), den // g)
     coeffs = [1.0]
     for r in roots:
         r = r * 1.0

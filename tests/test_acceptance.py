@@ -34,6 +34,7 @@ import pytest
 
 from ptf_lab import batch, iterative
 from ptf_lab.distributions import (
+    ComputationTooLarge,
     RootModel,
     Seed,
     dirichlet_multinomial_entropy,
@@ -346,21 +347,28 @@ def test_criterion_8_dirichlet_regimes(avg_cells):
 
 
 def test_criterion_9_entropy_floor(avg_cells):
-    violations = []
+    # each cell against the entropy of its own count law: log2 C(n+d, d) for
+    # uniform and Dirichlet(1) counts, the exact sum for other Dirichlet
+    # cells where it is feasible, and no floor where it is not
+    violations, checked = [], 0
     for (model, alpha, d, n), recs in avg_cells.items():
         mean, se = mean_se([r["queries_total"] for r in recs])
-        floor = entropy_lower_bound_uniform(n, d)
+        if model == "uniform" or alpha == 1:
+            floor, kind = entropy_lower_bound_uniform(n, d), "uniform"
+        else:
+            try:
+                floor, kind = dirichlet_multinomial_entropy(n, d, alpha), "dirichlet-exact"
+            except ComputationTooLarge:
+                continue
+        checked += 1
         if mean < floor - 3 * se:
-            violations.append((model, alpha, d, n, "uniform"))
-        if model == "dirichlet" and n <= 30 and d <= 3:
-            exact = dirichlet_multinomial_entropy(n, d, alpha)
-            if mean < exact - 3 * se:
-                violations.append((model, alpha, d, n, "dirichlet-exact"))
+            violations.append((model, alpha, d, n, kind))
     criterion(
         9,
         "entropy floor",
         not violations,
-        f"{len(violations)} floor violations over {len(avg_cells)} cells {violations or ''}",
+        f"{len(violations)} floor violations over {checked} of {len(avg_cells)} cells "
+        f"{violations or ''}",
     )
 
 

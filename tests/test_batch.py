@@ -104,6 +104,21 @@ class TestBatchParams:
         with pytest.raises(ValueError):
             BatchParams(d=2, n=1024, alpha=1.5)
 
+    @given(
+        st.integers(1, 12),
+        st.integers(3, 10**9),
+        st.sampled_from(["edge", "middle", "one"]),
+    )
+    @example(1, 3, "edge")
+    @example(12, 10**9, "edge")
+    def test_batch_ratio_exceeds_e_over_the_alpha_range(self, d, n, where):
+        # 1/ln n < alpha gives m / 2k >= n^alpha > e, so t needs no guard
+        low = 1 / math.log(n)
+        alpha = {"edge": math.nextafter(low, 2.0), "middle": (low + 1) / 2, "one": 1.0}[where]
+        p = BatchParams(d=d, n=n, alpha=alpha)
+        assert p.m / (2 * p.k) > math.e
+        assert p.t >= 1
+
 
 class TestInferIndicesFastPath:
     def test_matches_generic_rule(self):

@@ -11,7 +11,6 @@ from ptf_lab.distributions import (
     ComputationTooLarge,
     RootModel,
     Seed,
-    dirichlet_entropy_surrogate,
     dirichlet_gaps,
     dirichlet_multinomial_entropy,
     entropy_lower_bound_uniform,
@@ -266,9 +265,6 @@ class TestEntropyBounds:
     def test_too_large_raises(self):
         with pytest.raises(ComputationTooLarge):
             dirichlet_multinomial_entropy(10**6, 4, 1.0)
-
-    def test_surrogate(self):
-        assert dirichlet_entropy_surrogate(2**20, 4) == pytest.approx(60.0)
 
     def test_entropy_decreases_with_concentration(self):
         # larger alpha concentrates counts, lowering entropy

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -440,17 +441,34 @@ class TestCompareEntropy:
 
     def test_dirichlet_small_cell_checks_exact_entropy(self, tmp_path):
         path = tmp_path / "dir.json"
-        self._write_agg(path, mean=30.0, stderr=0.5, n=20, d=2, model="dirichlet", alpha=1.0)
+        self._write_agg(path, mean=30.0, stderr=0.5, n=20, d=2, model="dirichlet", alpha=2.0)
         report = compare_entropy([path])
-        assert "dirichlet_exact" in report[0]["bounds"]
+        assert set(report[0]["bounds"]) == {"dirichlet_exact"}
 
-    def test_dirichlet_large_cell_uses_flagged_surrogate(self, tmp_path):
+    def test_dirichlet_large_cell_has_no_floor(self, tmp_path):
         path = tmp_path / "dir_big.json"
         self._write_agg(
-            path, mean=500.0, stderr=1.0, n=2**16, d=4, model="dirichlet", alpha=1.0
+            path, mean=500.0, stderr=1.0, n=2**16, d=4, model="dirichlet", alpha=2.0
         )
         report = compare_entropy([path])
-        assert "dirichlet_surrogate" in report[0]["bounds"]
+        assert report[0]["bounds"] == {} and report[0]["ok"]
+
+    def test_dirichlet_cell_is_held_to_its_own_entropy(self, tmp_path):
+        # 7.7 clears the Dir(2) entropy 7.641 but not log2 C(22, 2) = 7.852,
+        # which holds only for uniform counts
+        path = tmp_path / "dir2.json"
+        self._write_agg(path, mean=7.7, stderr=0.0, n=20, d=2, model="dirichlet", alpha=2.0)
+        (entry,) = compare_entropy([path])
+        assert entry["ok"]
+        assert entry["bounds"] == {"dirichlet_exact": pytest.approx(7.641, abs=1e-3)}
+
+    def test_flat_dirichlet_cell_gets_the_uniform_floor(self, tmp_path):
+        # alpha = 1 is the uniform count law: one floor, log2 C(22, 2)
+        path = tmp_path / "dir1.json"
+        self._write_agg(path, mean=7.7, stderr=0.0, n=20, d=2, model="dirichlet", alpha=1.0)
+        (entry,) = compare_entropy([path])
+        assert not entry["ok"]
+        assert entry["bounds"] == {"uniform_floor": pytest.approx(math.log2(231))}
 
 
 def dictwriter_outputs(result, out_csv):

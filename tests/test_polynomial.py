@@ -1,6 +1,8 @@
 """Polynomial arithmetic, sign evaluation, and pattern tests."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -102,6 +104,59 @@ class TestDerivative:
     def test_order_zero_is_identity(self):
         p = Polynomial([2, -3, 1])
         assert p.derivative(0) is p
+
+
+def construction_paths():
+    """One polynomial per way the package builds one, by name."""
+    return {
+        "int coefficients": Polynomial([3, -4, 0, 1]),
+        "float from_roots": from_roots([0.25, -0.5, 0.75], leading=-1),
+        "exact from_roots": from_roots([F(1, 3), F(-1, 2), F(3, 4)]),
+        "derivative": from_roots([F(1, 3), F(-1, 2), F(3, 4)]).derivative(),
+    }
+
+
+class TestOneClass:
+    @pytest.mark.parametrize("path", sorted(construction_paths()))
+    def test_every_path_makes_a_polynomial(self, path):
+        p = construction_paths()[path]
+        assert type(p) is Polynomial
+        assert type(p.derivative(2)) is Polynomial
+        assert type(p.derivative(9)) is Polynomial  # the zero polynomial
+
+    def test_derivative_coeffs_are_made_once(self):
+        dp = from_roots([F(1, 3), F(-1, 2)]).derivative()
+        first = dp.coeffs
+        assert first == (F(1, 6), 2)  # (x - 1/3)(x + 1/2) = x^2 + x/6 - 1/6
+        assert dp.coeffs is first
+        assert all(type(c) is Fraction for c in first)
+
+    @pytest.mark.parametrize("path", sorted(construction_paths()))
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_and_pickle_round_trip(self, path, clone):
+        p = construction_paths()[path]
+        q = clone(p)
+        assert type(q) is Polynomial and q == p
+        assert [(type(c), c) for c in q.coeffs] == [(type(c), c) for c in p.coeffs]
+        assert (q.degree, q._floats, q._bound) == (p.degree, p._floats, p._bound)
+        xs = [-1.0, -0.5, F(1, 3), 0.0, 0.75, 2, F(-7, 3)]
+        assert [q.eval_sign(x) for x in xs] == [p.eval_sign(x) for x in xs]
+
+    @pytest.mark.parametrize("backend", ["float", "exact"])
+    def test_random_instance_pickles(self, backend):
+        inst = random_instance(
+            50, RootModel("uniform", 4), Seed(19, 3).rng(), backend=backend, random_leading=True
+        )
+        back = pickle.loads(pickle.dumps(inst))
+        assert back.hidden == inst.hidden and back.roots == inst.roots and back.d == inst.d
+        assert back.points.tolist() == inst.points.tolist()
+        assert back.hidden.eval_sign_many(back.points).tolist() == (
+            inst.hidden.eval_sign_many(inst.points).tolist()
+        )
 
 
 class TestSignPattern:
