@@ -49,12 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="CSV output path (JSON sidecar alongside)")
     p_run.set_defaults(usage_error=p_run.error)  # reports as "ptf-lab run: error: ..."
 
-    p_verify = sub.add_parser("verify-lower-bounds", help="verify witness constructions")
-    p_verify.add_argument("--interval-n", type=int, default=20)
-    p_verify.add_argument("--missing-d", type=_int_list, default=(3, 4, 5))
-    p_verify.add_argument("--missing-n", type=_int_list, default=(2, 3, 4, 5))
-    p_verify.add_argument("--linear-d", type=_int_list, default=(2, 3, 4, 5))
-    p_verify.add_argument("--multivariate-n", type=_int_list, default=(2, 10, 32))
+    sub.add_parser("verify-lower-bounds", help="verify witness constructions")
 
     p_cmp = sub.add_parser("compare-entropy", help="check entropy floors on result files")
     p_cmp.add_argument("results", nargs="+", help="aggregate JSON files from `run`")
@@ -62,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("print-bounds", help="tabulate the iterative query bound")
     p_bounds.add_argument("--d", type=_int_list, required=True)
     p_bounds.add_argument("--n", type=_int_list, required=True)
+    p_bounds.set_defaults(usage_error=p_bounds.error)
     return parser
 
 
@@ -95,13 +91,7 @@ def main(argv=None) -> int:
 
     if args.command == "verify-lower-bounds":
         try:
-            report = harness.verify_lower_bounds(
-                interval_n=args.interval_n,
-                missing_d=args.missing_d,
-                missing_n=args.missing_n,
-                linear_d=args.linear_d,
-                multivariate_n=args.multivariate_n,
-            )
+            report = harness.verify_lower_bounds()
         except Exception as exc:  # verification failures must exit nonzero
             print(f"FAIL: {exc}", file=sys.stderr)
             return 1
@@ -120,7 +110,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "print-bounds":
-        print(harness.print_bounds(args.d, args.n))
+        try:
+            table = harness.print_bounds(args.d, args.n)
+        except ValueError as exc:  # d or n out of range is a usage error
+            args.usage_error(str(exc))
+        print(table)
         return 0
 
     return 2

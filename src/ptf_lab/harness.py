@@ -35,7 +35,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -137,9 +137,6 @@ class ExperimentConfig:
                     alpha = self.dirichlet_alpha if self.model == DIRICHLET else ""
                     out.append({"d": d, "n": n, "alpha": alpha})
         return out
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -302,18 +299,17 @@ def write_outputs(result: ExperimentResult, out_csv: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         writer.writerows([row.get(c, "") for c in CSV_COLUMNS] for row in result.rows)
-    agg = {"config": result.config.to_json(), "cells": result.cell_stats}
+    agg = {"config": dataclasses.asdict(result.config), "cells": result.cell_stats}
     out_csv.with_suffix(".json").write_text(json.dumps(agg, indent=1))
 
 
-def verify_lower_bounds(
-    interval_n: int = 20,
-    missing_d: Sequence[int] = (3, 4, 5),
-    missing_n: Sequence[int] = (2, 3, 4, 5),
-    linear_d: Sequence[int] = (2, 3, 4, 5),
-    multivariate_n: Sequence[int] = (2, 10, 32),
-) -> list[dict]:
-    """Build and verify every requested witness; one report entry each."""
+def verify_lower_bounds() -> list[dict]:
+    """Build and exactly verify the fixed witness grid; one report entry each.
+
+    Interval n = 20; missing derivative d in {3, 4, 5} x n in {2, 3, 4, 5};
+    linear d in {2, 3, 4, 5}; multivariate n in {2, 10, 32}.  The report is
+    pinned byte for byte by tests/fixtures/verify_lower_bounds.jsonl.
+    """
     from . import adversarial
 
     report = []
@@ -321,11 +317,11 @@ def verify_lower_bounds(
     def entry(name, **kw):
         report.append({"construction": name, **kw, "ok": True})
 
-    w = adversarial.interval_witness(interval_n)
+    w = adversarial.interval_witness(20)
     adversarial.verify_witness(w)
-    entry("interval", n=interval_n, inferable=adversarial.count_restricted_inferences(w))
-    for d in missing_d:
-        for n in missing_n:
+    entry("interval", n=20, inferable=adversarial.count_restricted_inferences(w))
+    for d in (3, 4, 5):
+        for n in (2, 3, 4, 5):
             w = adversarial.missing_derivative_witness(d, n)
             adversarial.verify_witness(w)
             entry(
@@ -334,7 +330,7 @@ def verify_lower_bounds(
                 n=n,
                 inferable=adversarial.count_restricted_inferences(w),
             )
-    for d in linear_d:
+    for d in (2, 3, 4, 5):
         roots = [-(i + 2) for i in range(d)]
         w = adversarial.linear_lower_witness(d, roots)
         adversarial.verify_witness(w)
@@ -344,22 +340,29 @@ def verify_lower_bounds(
             epsilon=w.meta["epsilon"],
             inferable=adversarial.count_restricted_inferences(w),
         )
-    for n in multivariate_n:
+    for n in (2, 10, 32):
         rep = adversarial.multivariate_witness(n)
         entry("multivariate", n=n, base=rep.base_choice, agreeing=rep.agreeing)
     return report
 
 
+def entropy_floors(model: str, alpha, n: int, d: int) -> dict:
+    """A sample_search cell's entropy floors in bits: log2 C(n+d, d) for uniform and
+    Dirichlet(1) counts, which are uniform over the compositions; otherwise the exact
+    Dirichlet-multinomial entropy where its sum is feasible, and no floor where not."""
+    if model != DIRICHLET or alpha == 1:
+        return {"uniform_floor": entropy_lower_bound_uniform(n, d)}
+    try:
+        return {"dirichlet_exact": dirichlet_multinomial_entropy(n, d, alpha)}
+    except ComputationTooLarge:
+        return {}
+
+
 def compare_entropy(paths: Sequence[str | Path]) -> list[dict]:
     """Check mean query counts of average-case runs against entropy floors.
 
-    A cell must clear the entropy of its interval-count vector minus 3
-    standard errors.  Uniform and Dirichlet(1) counts are uniform over the
-    C(n+d, d) compositions, so their floor is log2 C(n+d, d).  Other
-    Dirichlet cells are checked against the exact Dirichlet-multinomial
-    entropy when the summation is feasible, and against nothing otherwise
-    (``bounds`` is empty).  Each report entry's ``ok`` says whether the cell
-    cleared every floor.
+    A cell must clear each of its ``entropy_floors`` minus 3 standard errors
+    (``bounds`` is empty if it has none); ``ok`` says whether it cleared them.
     """
     report = []
     for path in paths:
@@ -370,14 +373,7 @@ def compare_entropy(paths: Sequence[str | Path]) -> list[dict]:
             n, d = cell["n"], cell["d"]
             slack = 3 * cell["stderr_queries"]
             mean = cell["mean_queries"]
-            bounds = {}
-            if cell["model"] != DIRICHLET or cell["alpha"] == 1:
-                bounds["uniform_floor"] = entropy_lower_bound_uniform(n, d)
-            else:
-                try:
-                    bounds["dirichlet_exact"] = dirichlet_multinomial_entropy(n, d, cell["alpha"])
-                except ComputationTooLarge:
-                    pass
+            bounds = entropy_floors(cell["model"], cell["alpha"], n, d)
             ok = all(mean >= b - slack for b in bounds.values())
             rec = {
                 "file": str(path),

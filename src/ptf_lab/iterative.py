@@ -22,7 +22,6 @@ segment search here and the per-gap search of ``sample_search``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,8 +38,10 @@ def segment_bound(d: int, level: int) -> int:
 
 
 def query_bound(d: int, n: int) -> int:
-    """Deterministic worst-case query count of learn_all for any instance."""
-    log_term = math.ceil(math.log2(n)) + 2 if n > 1 else 2
+    """Deterministic worst-case query count of learn_all; d and n must be >= 1."""
+    if d < 1 or n < 1:
+        raise ValueError(f"query_bound needs d >= 1 and n >= 1, got d={d}, n={n}")
+    log_term = (n - 1).bit_length() + 2  # ceil(log2 n) + 2, exact for every n >= 1
     return sum(segment_bound(d, level) for level in range(d)) * log_term
 
 

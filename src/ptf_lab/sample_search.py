@@ -61,10 +61,6 @@ class AvgCaseResult:
     case: str  # "a" (exhausted) or "b" (d flips seen)
     flips: int
 
-    @property
-    def total(self) -> int:
-        return self.z + self.search_queries
-
 
 def sample_and_search(
     instance: Instance, oracle: Oracle, d_roots: int, rng: np.random.Generator

@@ -33,16 +33,9 @@ import numpy as np
 import pytest
 
 from ptf_lab import batch, iterative
-from ptf_lab.distributions import (
-    ComputationTooLarge,
-    RootModel,
-    Seed,
-    dirichlet_multinomial_entropy,
-    entropy_lower_bound_uniform,
-    random_instance,
-)
+from ptf_lab.distributions import RootModel, Seed, random_instance
 from ptf_lab.harness import BATCH, ITERATIVE, SAMPLE_SEARCH, ExperimentConfig, run, run_trial
-from ptf_lab.harness import verify_lower_bounds
+from ptf_lab.harness import entropy_floors, verify_lower_bounds
 from ptf_lab.oracle import Oracle
 
 from util import (
@@ -347,22 +340,17 @@ def test_criterion_8_dirichlet_regimes(avg_cells):
 
 
 def test_criterion_9_entropy_floor(avg_cells):
-    # each cell against the entropy of its own count law: log2 C(n+d, d) for
-    # uniform and Dirichlet(1) counts, the exact sum for other Dirichlet
-    # cells where it is feasible, and no floor where it is not
+    # each cell against the entropy of its own count law (harness.entropy_floors)
     violations, checked = [], 0
     for (model, alpha, d, n), recs in avg_cells.items():
-        mean, se = mean_se([r["queries_total"] for r in recs])
-        if model == "uniform" or alpha == 1:
-            floor, kind = entropy_lower_bound_uniform(n, d), "uniform"
-        else:
-            try:
-                floor, kind = dirichlet_multinomial_entropy(n, d, alpha), "dirichlet-exact"
-            except ComputationTooLarge:
-                continue
+        floors = entropy_floors(model, alpha, n, d)
+        if not floors:
+            continue
         checked += 1
-        if mean < floor - 3 * se:
-            violations.append((model, alpha, d, n, kind))
+        mean, se = mean_se([r["queries_total"] for r in recs])
+        violations += [
+            (model, alpha, d, n, kind) for kind, f in floors.items() if mean < f - 3 * se
+        ]
     criterion(
         9,
         "entropy floor",
@@ -373,13 +361,7 @@ def test_criterion_9_entropy_floor(avg_cells):
 
 
 def test_criterion_10_lower_bound_fixtures():
-    report = verify_lower_bounds(
-        interval_n=20,
-        missing_d=(3, 4, 5),
-        missing_n=(2, 3, 4, 5),
-        linear_d=(2, 3, 4, 5),
-        multivariate_n=(2, 10, 32),
-    )
+    report = verify_lower_bounds()
     inferable = sum(entry.get("inferable", 0) for entry in report)
     ok = all(entry["ok"] for entry in report) and inferable == 0
     criterion(

@@ -119,6 +119,12 @@ class TestLearnAll:
         for n in (1, 2, 3, 1024, 4096):
             assert query_bound(d, n) == (d**3 + 5 * d) // 6 * ((n - 1).bit_length() + 2)
 
+    def test_query_bound_log_term_is_exact(self):
+        # a float log2 rounds 2^k + 1 down to 2^k from k = 49 on
+        for k in range(81):
+            assert query_bound(1, 2**k) == k + 2, k
+            assert query_bound(1, 2**k + 1) == k + 3, k
+
     def test_cubic_bound_over_seeds(self):
         bound = query_bound(3, 4096)
         assert bound == 98

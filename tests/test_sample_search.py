@@ -58,7 +58,7 @@ class TestSampleAndSearch:
         assert res.case == "b"
         assert res.z == 2
         assert list(res.labels) == [-1, 1]
-        assert res.total == oracle.queries
+        assert res.z + res.search_queries == oracle.queries
 
     def test_perfect_labeling_over_seeds(self):
         for seed in range(60):
@@ -69,7 +69,7 @@ class TestSampleAndSearch:
             assert np.array_equal(res.labels, true_labels(inst)), seed
             assert res.flips <= d
             assert res.search_queries <= d * (math.ceil(math.log2(300)) + 2)
-            assert res.total == res.z + res.search_queries == oracle.queries
+            assert res.z + res.search_queries == oracle.queries
 
     def test_exact_backend(self):
         for seed in range(10):
