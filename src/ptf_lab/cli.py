@@ -41,9 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trials", type=int, default=100)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--backend", choices=[EXACT, FLOAT], default=FLOAT,
-                       help="how roots and points are drawn: exact (rational roots, points on "
-                       "the 2^-53 grid) or float (float64 roots and points); signs are "
-                       "exact either way")
+                       help="how uniform roots are expanded: exact (as Fractions) or float "
+                       "(in float64); both draw the same roots and points, Dirichlet roots "
+                       "are always exact, and signs are exact either way")
     p_run.add_argument("--random-leading", action="store_true",
                        help="flip the hidden leading sign with probability 1/2")
     p_run.add_argument("--out", default=None, help="CSV output path (JSON sidecar alongside)")

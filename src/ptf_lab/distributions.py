@@ -4,17 +4,14 @@ Two root models are supported: d i.i.d. uniform roots on [0,1], and roots
 whose d+1 inter-root gaps follow a symmetric Dirichlet(alpha) (sampled as
 normalized Gamma(alpha, 1) draws).  Points are i.i.d. uniform on [0,1].
 
-The draw mode (``EXACT`` or ``FLOAT``, the harness's ``backend``) picks how
-roots and points are drawn; it does not change how signs are evaluated.
-
-- ``FLOAT``: float64 roots and points from ``rng.random`` and the
-  normalized gaps, so the hidden polynomial has the float coefficients of a
-  float64 expansion.
-- ``EXACT``: roots are ``Fraction``s -- uniform roots on the 2^-53 grid,
-  Dirichlet roots as prefix sums of the float gaps renormalized to sum to 1
-  exactly -- so the hidden polynomial has exact rational coefficients.
-  Points are uniform on the 2^-53 grid as well, drawn as integers v and
-  stored as the float64 values v / 2^53, which are exact.
+Both draw modes (``EXACT`` or ``FLOAT``, the harness's ``backend``) read
+one stream alike and draw the same values: points and uniform roots from
+``rng.random``, which lie on the 2^-53 grid, and Dirichlet roots as the exact
+prefix sums of the gaps, renormalized to sum to 1, as ``Fraction``s.  The
+mode decides one thing only: whether uniform roots are kept as floats, so
+the hidden polynomial has the float coefficients of a float64 expansion
+(``FLOAT``), or become the same values as ``Fraction``s, so it has exact
+rational coefficients (``EXACT``).  Signs are evaluated exactly either way.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ DIRICHLET = "dirichlet"
 EXACT = "exact"
 FLOAT = "float"
 
-_DYADIC = 2**53
 MAX_ENTROPY_TERMS = 10**7
 
 
@@ -75,26 +71,7 @@ class RootModel:
                 raise ValueError("dirichlet model needs alpha > 0")
 
 
-def _exact_unit_draws(k: int, rng: np.random.Generator, open_interval: bool = False) -> np.ndarray:
-    """k distinct integers v in [0, 2^53), sorted: v / 2^53 is uniform over the grid.
-
-    Each pass draws the shortfall and merges it into the distinct values so
-    far, so a repeated draw (or a 0, rejected with open_interval because
-    roots must stay strictly inside (0, 1)) is made up by the next pass.
-    """
-    vals = np.empty(0, dtype=np.int64)
-    while len(vals) < k:
-        draw = rng.integers(0, _DYADIC, size=k - len(vals))
-        if open_interval:
-            draw = draw[draw != 0]
-        vals = np.sort(np.concatenate([vals, draw]))
-        keep = np.ones(len(vals), dtype=bool)
-        keep[1:] = vals[1:] != vals[:-1]
-        vals = vals[keep]
-    return vals
-
-
-def uniform_points(n: int, rng: np.random.Generator, backend: str = FLOAT) -> np.ndarray:
+def uniform_points(n: int, rng: np.random.Generator) -> np.ndarray:
     """n sorted i.i.d. Uniform[0,1] draws, de-duplicated by resampling.
 
     A plain sort is what ``np.unique`` returns when no two draws collide;
@@ -103,8 +80,6 @@ def uniform_points(n: int, rng: np.random.Generator, backend: str = FLOAT) -> np
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if backend == EXACT:
-        return _exact_unit_draws(n, rng) / _DYADIC  # exact: every v < 2^53 is a float64
     pts = np.sort(rng.random(n))
     if np.all(pts[1:] != pts[:-1]):
         return pts
@@ -125,34 +100,30 @@ def dirichlet_gaps(d: int, alpha: float, rng: np.random.Generator) -> np.ndarray
 def sample_roots(model: RootModel, rng: np.random.Generator, backend: str = FLOAT) -> list:
     """Sample d sorted, distinct roots with the model's distribution.
 
-    Uniform: d i.i.d. U[0,1] roots.  Dirichlet: roots are prefix sums of the
-    d+1 sampled gaps; in the float draw mode, gaps whose prefix sums repeat
-    a root or round one to 0 or 1 are drawn again.  All roots land strictly
-    inside (0,1); they are Fractions in the exact draw mode and floats in
-    the float draw mode.
+    Uniform: d i.i.d. U[0,1] roots, drawn again while two repeat or one is
+    0; they are floats in the float draw mode and the same values as
+    ``Fraction``s in the exact draw mode.  Dirichlet: the d+1 sampled gaps,
+    read as ``Fraction``s, are renormalized to sum to 1 exactly, and the
+    roots are their exact prefix sums, ``Fraction``s in both draw modes;
+    positive gaps never make two roots collide, so nothing is drawn again.
+    All roots land strictly inside (0,1).
     """
     d = model.d
     if model.kind == UNIFORM:
-        if backend == EXACT:
-            draws = _exact_unit_draws(d, rng, open_interval=True).tolist()
-            roots = [Fraction(v, _DYADIC) for v in draws]
-        else:
+        roots = np.sort(rng.random(d))
+        while len(np.unique(roots)) < d or roots[0] == 0.0:
             roots = np.sort(rng.random(d))
-            while len(np.unique(roots)) < d or roots[0] == 0.0:
-                roots = np.sort(rng.random(d))
-            roots = roots.tolist()
-    else:
-        gaps = dirichlet_gaps(d, model.alpha, rng)
+        roots = roots.tolist()
         if backend == EXACT:
-            exact_gaps = [Fraction(float(g)) for g in gaps]
-            total = sum(exact_gaps)
-            exact_gaps = [g / total for g in exact_gaps]  # sums to 1 exactly
-            roots = list(itertools.accumulate(exact_gaps))[:d]
-        else:
-            roots = np.cumsum(gaps)[:d]
-            while not np.all(np.diff(roots, prepend=0.0, append=1.0) > 0):
-                roots = np.cumsum(dirichlet_gaps(d, model.alpha, rng))[:d]
-            roots = roots.tolist()
+            roots = [Fraction(r) for r in roots]
+    else:
+        # each float gap is an integer over a power of 2, so over the largest
+        # of those powers every gap, and every prefix sum, is an integer
+        ratios = [g.as_integer_ratio() for g in dirichlet_gaps(d, model.alpha, rng).tolist()]
+        den = max(b for _, b in ratios)
+        gaps = [a * (den // b) for a, b in ratios]
+        total = sum(gaps)
+        roots = [Fraction(s, total) for s in itertools.accumulate(gaps[:d])]
     assert roots[0] > 0 and roots[-1] < 1, "roots must lie strictly inside (0,1)"
     return roots
 
@@ -168,7 +139,7 @@ def random_instance(
     leading = int(rng.choice([-1, 1])) if random_leading else 1
     roots = sample_roots(model, rng, backend=backend)
     hidden = from_roots(roots, leading=leading)
-    points = uniform_points(n, rng, backend=backend)
+    points = uniform_points(n, rng)
     return Instance(points=points, hidden=hidden, d=model.d, roots=roots)
 
 

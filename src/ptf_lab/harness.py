@@ -7,12 +7,13 @@ learner result).  sample_search gets a label-only oracle (order 0 only);
 iterative and batch get a full one (orders 0..d-1).  A sweep's stream is
 cell index * trials + trial index, so stream t of a one-cell sweep is
 trial t.  ``backend`` names the draw mode (``distributions.EXACT`` or
-``FLOAT``), which picks how the instance's roots and points are drawn;
-signs are evaluated exactly in either mode.  ``model`` picks the root
-distribution of every learner's instances.  The row's ``correct`` says
-whether every label equals the ground truth that ``instances.true_labels``
-reads off the instance's roots, which shares no code with the oracle's
-sign evaluation.
+``FLOAT``).  Both modes draw the same roots and points from a stream; the
+mode decides only whether uniform roots are expanded exactly or in float64
+(Dirichlet roots always are exactly), and signs are evaluated exactly in
+either mode.  ``model`` picks the root distribution of every learner's
+instances.  The row's ``correct`` says whether every label equals the
+ground truth that ``instances.true_labels`` reads off the instance's roots,
+which shares no code with the oracle's sign evaluation.
 Batch rows also carry the learner's ``iterations``, ``loop_rounds`` and
 ``final_round``, which other learners leave empty.  A trial that raises, in
 generation, learning or the check, still yields its row, with ``correct``
@@ -93,7 +94,7 @@ class ExperimentConfig:
     n_values: tuple[int, ...]
     trials: int
     master_seed: int
-    backend: str = FLOAT  # draw mode of roots and points
+    backend: str = FLOAT  # draw mode: uniform roots expanded exactly or in float64
     alphas: tuple[float, ...] = ()  # batch learner only
     model: str = UNIFORM  # root model of every learner's instances
     dirichlet_alpha: float = 1.0

@@ -9,12 +9,12 @@ only through an Oracle.  Ground truth comes from the roots instead.  The
 hidden polynomial is lead * prod(x - r) over its listed roots r, times a
 factor that is positive at every sample point (1 for every instance the
 library draws), so its label at x is lead * (-1)**#{roots > x}, and +1 on a
-root (sign(0) = +1).  Roots keep their own type (exact Dirichlet roots are
-``Fraction``s off the float grid).  ``true_labels`` places each root among
-the points with ``np.searchsorted`` on the root's nearest float, then
-compares the one point that can equal that float with the root exactly.  It
-never evaluates the polynomial, so it shares no code with the oracle's sign
-evaluation.
+root (sign(0) = +1).  Roots keep their own type (Dirichlet roots, in either
+draw mode, are ``Fraction``s off the float grid).  ``true_labels`` places
+each root among the points with ``np.searchsorted`` on the root's nearest
+float, then compares the one point that can equal that float with the root
+exactly.  It never evaluates the polynomial, so it shares no code with the
+oracle's sign evaluation.
 """
 
 from __future__ import annotations

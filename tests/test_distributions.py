@@ -1,13 +1,13 @@
 """Instance generation and entropy bound tests."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ptf_lab.distributions import (
     EXACT,
-    _exact_unit_draws,
     ComputationTooLarge,
     RootModel,
     Seed,
@@ -20,7 +20,7 @@ from ptf_lab.distributions import (
 )
 from ptf_lab.polynomial import from_roots
 
-from util import ks_statistic_uniform, set_loop_unit_draws, trial_rng
+from util import ks_statistic_uniform, trial_rng
 
 
 class TestUniformPoints:
@@ -38,7 +38,18 @@ class TestUniformPoints:
         assert ks_statistic_uniform(pts) < 0.01
 
     def test_exact_backend_sorted_distinct(self):
-        pts = uniform_points(500, trial_rng(5), backend=EXACT)
+        # the draw modes read one stream alike: equal points, and exact
+        # uniform roots are the float roots as Fractions
+        model = RootModel("uniform", 6)
+        for stream in range(20):
+            exact_rng, float_rng = trial_rng(5, stream), trial_rng(5, stream)
+            exact = random_instance(500, model, exact_rng, backend=EXACT)
+            flt = random_instance(500, model, float_rng)
+            assert np.array_equal(exact.points, flt.points)
+            assert all(type(r) is float for r in flt.roots)
+            assert exact.roots == tuple(Fraction(r) for r in flt.roots)
+            assert exact_rng.bit_generator.state == float_rng.bit_generator.state
+        pts = exact.points
         assert pts.dtype == np.float64
         assert all((p * 2**53).is_integer() for p in pts.tolist())  # on the 2^-53 grid
         assert all(a < b for a, b in zip(pts, pts[1:]))
@@ -79,42 +90,6 @@ class TestUniformPointsCollisions:
         pts = uniform_points(5000, got_rng)
         assert np.array_equal(pts, unique_path_points(5000, ref_rng))
         assert got_rng.random() == ref_rng.random()
-
-
-class RepeatingFirstIntegers:
-    """A generator whose first integers(...) draw repeats a value and holds a 0."""
-
-    def __init__(self, seed):
-        self.rng, self.sizes = np.random.default_rng(seed), []
-
-    def integers(self, low, high, size):
-        out = self.rng.integers(low, high, size=size)
-        if not self.sizes:
-            out[-1], out[1] = out[0], 0
-        self.sizes.append(size)
-        return out
-
-
-class TestExactUnitDraws:
-    @pytest.mark.parametrize("open_interval", [False, True])
-    @pytest.mark.parametrize("k", [1, 2, 6, 256, 4096])
-    def test_matches_set_loop(self, k, open_interval):
-        for seed in range(100):
-            got_rng, ref_rng = trial_rng(seed, k), trial_rng(seed, k)
-            got = _exact_unit_draws(k, got_rng, open_interval)
-            assert got.tolist() == set_loop_unit_draws(k, ref_rng, open_interval)
-            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-
-    @pytest.mark.parametrize("open_interval", [False, True])
-    def test_repeat_and_zero_are_drawn_again(self, open_interval):
-        k = 50
-        got_rng, ref_rng = RepeatingFirstIntegers(8), RepeatingFirstIntegers(8)
-        got = _exact_unit_draws(k, got_rng, open_interval)
-        assert got.tolist() == set_loop_unit_draws(k, ref_rng, open_interval)
-        assert got_rng.rng.bit_generator.state == ref_rng.rng.bit_generator.state
-        assert got_rng.sizes == [k, 2 if open_interval else 1]  # the shortfall, drawn again
-        assert len(got) == k and np.all(np.diff(got) > 0)
-        assert (got[0] == 0) != open_interval
 
 
 class ScriptedDraws:
@@ -169,7 +144,8 @@ class TestRootModels:
         # with d = 1, alpha = 1 the root is Beta(1,1) = Uniform[0,1]
         rng = trial_rng(13)
         model = RootModel("dirichlet", 1, 1.0)
-        roots = np.array([sample_roots(model, rng)[0] for _ in range(100_000)])
+        # the Fraction roots are read as floats: a KS test needs no more precision
+        roots = np.array([float(sample_roots(model, rng)[0]) for _ in range(100_000)])
         assert ks_statistic_uniform(roots) < 0.01
 
     def test_min_gap_matches_stick_breaking_oracle(self):
@@ -213,12 +189,21 @@ class TestRootModels:
             assert hidden.eval_sign(0 if backend == EXACT else 0.0) == (-1) ** 3
             assert hidden.eval_sign(1 if backend == EXACT else 1.0) == 1
 
-    def test_float_dirichlet_redraws_colliding_roots(self):
-        # at alpha = 0.1 and d = 8, stream 21's first gaps put two float roots
-        # on one value; the sampled roots must still be distinct
-        roots = sample_roots(RootModel("dirichlet", 8, 0.1), Seed(99, 21).rng())
-        assert len(roots) == 8 and from_roots(roots).degree == 8
-        assert all(0 < a < b < 1 for a, b in zip(roots, roots[1:]))
+    def test_dirichlet_roots_are_equal_fractions_in_both_modes(self):
+        # at alpha = 0.1 and d = 8, stream 21's gaps put two float prefix sums
+        # on one value; the exact prefix sums stay distinct, so either draw
+        # mode makes its roots from one dirichlet_gaps draw
+        model = RootModel("dirichlet", 8, 0.1)
+        ref = Seed(99, 21).rng()
+        float_sums = np.cumsum(dirichlet_gaps(8, 0.1, ref))[:8]
+        assert not np.all(np.diff(float_sums) > 0)
+        rngs = {EXACT: Seed(99, 21).rng(), "float": Seed(99, 21).rng()}
+        roots = {mode: sample_roots(model, rng, backend=mode) for mode, rng in rngs.items()}
+        assert roots["float"] == roots[EXACT]
+        assert all(type(r) is Fraction for r in roots["float"])
+        assert all(0 < a < b < 1 for a, b in zip(roots["float"], roots["float"][1:]))
+        for rng in rngs.values():
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

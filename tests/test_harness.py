@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -205,9 +206,9 @@ class TestRun:
         assert cell["model"] == "dirichlet" and cell["all_correct"]
 
     def test_small_alpha_dirichlet_sweep_writes_every_row(self, tmp_path):
-        # float Dirichlet(0.1) gaps collide at 275 of 2,000 streams of seed 99;
-        # such draws are redrawn, so no generation aborts the sweep.  Whether
-        # the labels are right is not asserted here.
+        # float prefix sums of Dirichlet(0.1) gaps collide at 275 of 2,000
+        # streams of seed 99; the exact prefix sums never do, so no generation
+        # aborts the sweep.  Whether the labels are right is not asserted here.
         out = tmp_path / "dir01.csv"
         args = ["run", "--learner", "sample_search", "--model", "dirichlet"]
         args += ["--dirichlet-alpha", "0.1", "--d", "8", "--n", "4096"]
@@ -215,10 +216,10 @@ class TestRun:
         assert cli.main(args) in (0, 1)
         assert len(read_csv(out)) == 400
 
-    def test_float_mislabels_on_clustered_roots_are_incorrect(self):
-        # at Dirichlet(0.1), d = 8 the float oracle's rounded coefficients can
-        # give wrong signs between clustered roots; a row is correct exactly
-        # when the learner's labels match the roots', counted here by brute force
+    def test_clustered_dirichlet_roots_every_row_correct(self):
+        # at Dirichlet(0.1), d = 8 the roots cluster tightly; the float draw
+        # mode expands them exactly, so the learner's labels match the
+        # roots' in every row, counted here by brute force
         cfg = small_config(
             learner=harness.SAMPLE_SEARCH,
             model="dirichlet",
@@ -228,19 +229,21 @@ class TestRun:
             trials=60,
             master_seed=99,
         )
-        mislabelled = 0
         for stream in range(cfg.trials):
             trial = harness.run_trial(cfg, cfg.cells()[0], stream)
             row, inst = trial.row, trial.instance
-            if row["z"] == "":  # DegreeViolation
-                assert not row["correct"]
-                continue
-            pts, roots = inst.points[:, None], np.array(inst.roots)[None, :]
-            truth = np.where((pts == roots).any(axis=1), 1, (-1) ** (pts < roots).sum(axis=1))
-            agrees = np.array_equal(trial.result.labels, truth)
-            assert row["correct"] == agrees, stream
-            mislabelled += not agrees
-        assert mislabelled >= 1
+            assert row["z"] != "", (stream, row["case"])  # no DegreeViolation
+            # every point against every root: a point off a root's nearest
+            # float lies on that float's side of the root, and a point on it
+            # is compared with the root exactly
+            pts, nearest = inst.points[:, None], np.array([[float(r) for r in inst.roots]])
+            on, below = pts == nearest, pts < nearest
+            for i, j in zip(*np.nonzero(on)):
+                x, r = Fraction(float(inst.points[i])), inst.roots[j]
+                on[i, j], below[i, j] = x == r, x < r
+            truth = np.where(on.any(axis=1), 1, (-1) ** below.sum(axis=1))
+            assert np.array_equal(trial.result.labels, truth), stream
+            assert row["correct"], stream
 
     def test_parallel_matches_serial(self):
         # 17 trials make 3 chunks of the pool's chunksize 8, so both workers run trials

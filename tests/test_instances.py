@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ptf_lab.distributions import DIRICHLET, EXACT, FLOAT, UNIFORM, RootModel, Seed, random_instance
 from ptf_lab.instances import Instance, true_labels
-from ptf_lab.polynomial import Polynomial, from_roots
+from ptf_lab.polynomial import Polynomial, eval_sign_block, from_roots
 
 F = Fraction
 
@@ -51,6 +52,39 @@ def test_true_labels_equal_exact_signs(roots, others, on_roots, leading, no_real
         roots=tuple(roots),
     )
     assert np.array_equal(true_labels(inst), hidden.eval_sign_many(inst.points))
+
+
+# Dirichlet roots are exact in both draw modes, uniform roots only in the
+# exact one.  Float uniform draws are left out: float from_roots rounds their
+# coefficients, so the hidden polynomial need not change sign exactly at the
+# listed roots until every hidden polynomial is expanded exactly.
+drawn_models = st.one_of(
+    st.tuples(st.just(DIRICHLET), st.sampled_from([EXACT, FLOAT])),
+    st.tuples(st.just(UNIFORM), st.just(EXACT)),
+)
+
+
+@given(
+    master=st.integers(0, 2**32 - 1),
+    stream=st.integers(0, 2**16),
+    n=st.sampled_from([1, 2, 64, 4096]),
+    d=st.integers(1, 12),
+    alpha=st.floats(0.05, 4),
+    kind_mode=drawn_models,
+    random_leading=st.booleans(),
+)
+@example(  # tightly clustered Dirichlet roots, drawn in the float mode
+    master=99, stream=6, n=4096, d=8, alpha=0.1, kind_mode=(DIRICHLET, FLOAT), random_leading=False
+)
+@settings(max_examples=100, deadline=None)
+def test_drawn_instances_label_as_their_hidden_polynomial(
+    master, stream, n, d, alpha, kind_mode, random_leading
+):
+    kind, mode = kind_mode
+    model = RootModel(kind, d, alpha if kind == DIRICHLET else None)
+    rng = Seed(master, stream).rng()
+    inst = random_instance(n, model, rng, backend=mode, random_leading=random_leading)
+    assert np.array_equal(true_labels(inst), eval_sign_block((inst.hidden,), inst.points)[0])
 
 
 def test_float_points_on_and_between_roots():

@@ -407,9 +407,9 @@ def test_eval_sign_equals_reference_sign(roots, scale, floats, others, order):
 
 
 def test_clustered_float_draw_signs_are_exact():
-    # Dirichlet(0.1) roots cluster, so the float draw's polynomial and its
-    # derivatives come close to 0 at many points; plain float Horner gets
-    # some of these signs wrong
+    # Dirichlet(0.1) roots cluster, so the float draw's polynomial (the
+    # exact expansion of its Fraction roots) and its derivatives come close
+    # to 0 at many points; plain float Horner gets some of these signs wrong
     d = 8
     inst = random_instance(4096, RootModel("dirichlet", d, 0.1), Seed(99, 6).rng())
     coeffs, xs = inst.hidden.coeffs, inst.points.tolist()

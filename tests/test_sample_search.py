@@ -251,7 +251,7 @@ def test_exact_edge_cases_match_reference(n, beside_roots, leading, seed, d, few
     model = RootModel(kind, d_roots, alpha)
     rng = trial_rng(seed)
     roots = tuple(sample_roots(model, rng, backend=EXACT))
-    points = uniform_points(n, rng, backend=EXACT)
+    points = uniform_points(n, rng)
     if beside_roots:
         points = on_and_beside_roots(points, roots)
     inst = Instance(points, from_roots(roots, leading=leading), d, roots)

@@ -23,18 +23,6 @@ def trial_rng(master: int, stream: int = 0) -> np.random.Generator:
     return Seed(master, stream).rng()
 
 
-def set_loop_unit_draws(k: int, rng, open_interval: bool = False) -> list[int]:
-    """Reference for ``distributions._exact_unit_draws``: a Python set filled
-    one integer at a time, drawing the shortfall until it holds k values."""
-    seen: set[int] = set()
-    while len(seen) < k:
-        for v in rng.integers(0, 2**53, size=k - len(seen)):
-            if open_interval and v == 0:
-                continue
-            seen.add(int(v))
-    return sorted(seen)
-
-
 def pattern_block(p: Polynomial, xs, d: int) -> np.ndarray:
     """The sign patterns of orders 0..d-1 of p at xs, as a (d, points) block."""
     return eval_sign_block([p.derivative(o) for o in range(d)], xs)
