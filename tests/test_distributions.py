@@ -8,7 +8,6 @@ import pytest
 
 from ptf_lab.distributions import (
     EXACT,
-    ComputationTooLarge,
     RootModel,
     Seed,
     dirichlet_gaps,
@@ -20,7 +19,7 @@ from ptf_lab.distributions import (
 )
 from ptf_lab.polynomial import from_roots
 
-from util import ks_statistic_uniform, trial_rng
+from util import dirichlet_multinomial_entropy_by_enumeration, ks_statistic_uniform, trial_rng
 
 
 class TestUniformPoints:
@@ -247,9 +246,17 @@ class TestEntropyBounds:
         expected = math.log2(math.comb(n + d, d))
         assert dirichlet_multinomial_entropy(n, d, 1.0) == pytest.approx(expected)
 
-    def test_too_large_raises(self):
-        with pytest.raises(ComputationTooLarge):
-            dirichlet_multinomial_entropy(10**6, 4, 1.0)
+    @pytest.mark.parametrize("alpha", [0.005, 0.1, 0.5, 1.0, 2.0, 144.0])
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (40, 1), (40, 2), (40, 3), (3, 5), (20, 5)])
+    def test_dirichlet_multinomial_matches_enumeration(self, n, d, alpha):
+        want = dirichlet_multinomial_entropy_by_enumeration(n, d, alpha)
+        assert dirichlet_multinomial_entropy(n, d, alpha) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 4, 8])
+    @pytest.mark.parametrize("n", [1, 20, 4096, 2**16])
+    def test_flat_dirichlet_multinomial_is_the_closed_form(self, n, d):
+        want = entropy_lower_bound_uniform(n, d)
+        assert dirichlet_multinomial_entropy(n, d, 1.0) == pytest.approx(want, rel=1e-12)
 
     def test_entropy_decreases_with_concentration(self):
         # larger alpha concentrates counts, lowering entropy

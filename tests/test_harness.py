@@ -14,11 +14,18 @@ import numpy as np
 import pytest
 
 from ptf_lab import batch, cli, harness, iterative
-from ptf_lab.distributions import EXACT, RootModel, Seed, random_instance
+from ptf_lab.distributions import (
+    EXACT,
+    RootModel,
+    Seed,
+    entropy_lower_bound_uniform,
+    random_instance,
+)
 from ptf_lab.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     compare_entropy,
+    entropy_floors,
     print_bounds,
     run,
 )
@@ -304,7 +311,7 @@ class TestRun:
         assert counts == [0] * 6
         assert row["queries_higher_json"] == "{}"
 
-    def test_validation(self, capsys):
+    def test_validation(self, capsys, tmp_path):
         with pytest.raises(ValueError):
             small_config(trials=0)
         with pytest.raises(ValueError):
@@ -316,16 +323,33 @@ class TestRun:
         with pytest.raises(ValueError, match="batch learner only"):
             small_config(alphas=(0.5,))  # iterative
         # the CLI reports an invalid configuration as a usage error
+        json_out = str(tmp_path / "res.json")  # the JSON sidecar would replace its CSV
         for extra, message in [
             (["--learner", "sample_search", "--alpha", ".5"], "alphas apply to the batch"),
             (["--learner", "iterative", "--alpha", "0.5"], "alphas apply to the batch"),
             (["--learner", "batch", "--alpha", "1.5"], "alpha must lie in"),
             (["--learner", "iterative", "--trials", "0"], "trials must be at least 1"),
+            (["--learner", "iterative", "--out", json_out], f"out {json_out!r} ends in .json"),
         ]:
             with pytest.raises(SystemExit) as exc:
                 cli.main(["run", "--d", "2", "--n", "8", *extra])
             assert exc.value.code == 2
             assert f"ptf-lab run: error: {message}" in capsys.readouterr().err
+        assert not Path(json_out).exists()
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "2 workers"])
+    def test_threads_not_an_integer_raise_before_any_trial(self, monkeypatch, capsys, value):
+        monkeypatch.setattr(harness, "run_trial", None)  # never reached
+        monkeypatch.setenv("PTF_LAB_THREADS", value)
+        with pytest.raises(ValueError, match="PTF_LAB_THREADS must be an integer"):
+            run(small_config())
+        assert cli.main(["run", "--learner", "iterative", "--d", "2", "--n", "8"]) == 2
+        message = f"PTF_LAB_THREADS must be an integer, not {value!r}"
+        assert capsys.readouterr().err == f"ptf-lab run: error: {message}\n"
+
+    def test_empty_threads_is_unset(self, monkeypatch):
+        monkeypatch.setenv("PTF_LAB_THREADS", "")
+        assert harness.worker_count() == 1
 
     def test_bad_cells_raise_before_any_trial(self, monkeypatch):
         monkeypatch.setattr(harness, "run_trial", None)  # never reached
@@ -336,6 +360,7 @@ class TestRun:
             dict(n_values=(0,)),
             dict(d_values=(2, 0)),
             dict(learner=harness.SAMPLE_SEARCH, model="dirichlet", dirichlet_alpha=0.0),
+            dict(out="res.json"),
         ]
         for kw in bad:
             with pytest.raises(ValueError):
@@ -429,13 +454,27 @@ class TestCompareEntropy:
         report = compare_entropy([path])
         assert set(report[0]["bounds"]) == {"dirichlet_exact"}
 
-    def test_dirichlet_large_cell_has_no_floor(self, tmp_path):
+    def test_dirichlet_large_cell_checks_exact_entropy(self, tmp_path):
+        # C(2^16 + 8, 8) count vectors, far too many to enumerate
         path = tmp_path / "dir_big.json"
         self._write_agg(
-            path, mean=500.0, stderr=1.0, n=2**16, d=4, model="dirichlet", alpha=2.0
+            path, mean=500.0, stderr=1.0, n=2**16, d=8, model="dirichlet", alpha=0.5
         )
-        report = compare_entropy([path])
-        assert report[0]["bounds"] == {} and report[0]["ok"]
+        (entry,) = compare_entropy([path])
+        assert entry["ok"]
+        assert entry["bounds"] == {"dirichlet_exact": pytest.approx(110.1838, abs=1e-4)}
+
+    def test_entropy_floors_gives_every_cell_one_floor(self):
+        # criterion 8's Dirichlet cells (d = 4, n = 2^12) among them
+        cases = [("uniform", "")] + [("dirichlet", a) for a in (0.005, 0.1, 0.5, 1.0, 2.0, 144.0)]
+        for model, alpha in cases:
+            kind = "dirichlet_exact" if model == "dirichlet" and alpha != 1 else "uniform_floor"
+            for d in (1, 4, 8):
+                for n in (1, 20, 2**12, 2**16):
+                    floors = entropy_floors(model, alpha, n, d)
+                    assert list(floors) == [kind], (model, alpha, n, d)
+                    # no law on the C(n+d, d) count vectors has more entropy than the flat one
+                    assert 0 < floors[kind] <= entropy_lower_bound_uniform(n, d) * (1 + 1e-12)
 
     def test_dirichlet_cell_is_held_to_its_own_entropy(self, tmp_path):
         # 7.7 clears the Dir(2) entropy 7.641 but not log2 C(22, 2) = 7.852,

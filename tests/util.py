@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -77,6 +78,26 @@ def z_law_cdf_grid(n: int, d: int) -> np.ndarray:
 def z_law_mean(n: int, d: int) -> float:
     """E[Z] = sum over z in [0, n) of P(Z > z)."""
     return float(np.sum(1.0 - z_law_cdf_grid(n, d)[:n]))
+
+
+def dirichlet_multinomial_entropy_by_enumeration(n: int, d: int, alpha: float) -> float:
+    """Reference for ``distributions.dirichlet_multinomial_entropy``: the entropy
+    (bits) summed over all C(n+d, d) count vectors of the Dirichlet-multinomial pmf."""
+    k = d + 1
+    lg = math.lgamma
+    base = lg(n + 1) + lg(k * alpha) - lg(n + k * alpha) - k * lg(alpha)
+    entropy_nats = 0.0
+    total_p = 0.0
+    # the k-1 bars of each stars-and-bars string of n stars cut out one count vector
+    for bars in itertools.combinations(range(n + k - 1), k - 1):
+        edges = (-1, *bars, n + k - 1)
+        counts = [b - a - 1 for a, b in zip(edges, edges[1:])]
+        logp = base + sum(lg(c + alpha) - lg(c + 1) for c in counts)
+        p = math.exp(logp)
+        total_p += p
+        entropy_nats -= p * logp
+    assert abs(total_p - 1.0) < 1e-9, "pmf must sum to 1"
+    return entropy_nats / math.log(2)
 
 
 def ks_statistic_discrete(sample, cdf: np.ndarray) -> float:
