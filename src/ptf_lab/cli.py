@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import harness
-from .distributions import DIRICHLET, EXACT, FLOAT, UNIFORM
+from .distributions import EXACT, FLOAT
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -36,8 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--n", type=_int_list, required=True, help="comma list of sample sizes")
     p_run.add_argument("--alpha", type=_float_list, default=(),
                        help="comma list of batch exponents (batch learner)")
-    p_run.add_argument("--model", choices=[UNIFORM, DIRICHLET], default=UNIFORM)
-    p_run.add_argument("--dirichlet-alpha", type=float, default=1.0)
+    p_run.add_argument("--dirichlet-alpha", type=float, default=None, metavar="A",
+                       help="draw the d+1 root gaps from a symmetric Dirichlet(A), A > 0; "
+                       "without it the d roots are i.i.d. uniform")
     p_run.add_argument("--trials", type=int, default=100)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--backend", choices=[EXACT, FLOAT], default=FLOAT,
@@ -74,7 +75,6 @@ def main(argv=None) -> int:
                 master_seed=args.seed,
                 backend=args.backend,
                 alphas=args.alpha,
-                model=args.model,
                 dirichlet_alpha=args.dirichlet_alpha,
                 random_leading=args.random_leading,
                 out=args.out,

@@ -1,8 +1,10 @@
 """Random instance generation and the entropy floors of the gap counts.
 
-Two root models are supported: d i.i.d. uniform roots on [0,1], and roots
-whose d+1 inter-root gaps follow a symmetric Dirichlet(alpha) (sampled as
-normalized Gamma(alpha, 1) draws).  Points are i.i.d. uniform on [0,1].
+``RootModel(d, alpha)`` is the root law: with alpha None, d i.i.d. uniform
+roots on [0,1]; with alpha > 0, roots whose d+1 inter-root gaps follow a
+symmetric Dirichlet(alpha) (sampled as normalized Gamma(alpha, 1) draws).
+Points are i.i.d. uniform on [0,1].  ``trial_rng(master, stream)`` is the
+generator of one trial, so a (master, stream) pair fixes every draw.
 
 Both draw modes (``EXACT`` or ``FLOAT``, the harness's ``backend``) read
 one stream alike and draw the same values: points and uniform roots from
@@ -38,35 +40,26 @@ DIRICHLET = "dirichlet"
 EXACT = "exact"
 FLOAT = "float"
 
-@dataclass(frozen=True)
-class Seed:
-    """Master seed plus a per-trial stream index.
 
-    The pair fully determines a trial's randomness: the generator is
-    ``default_rng(SeedSequence(master, spawn_key=(stream,)))``.
-    """
-
-    master: int
-    stream: int = 0
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence(self.master, spawn_key=(self.stream,)))
+def trial_rng(master: int, stream: int = 0) -> np.random.Generator:
+    """The generator of stream ``stream`` of master seed ``master``."""
+    return np.random.default_rng(np.random.SeedSequence(master, spawn_key=(stream,)))
 
 
 @dataclass(frozen=True)
 class RootModel:
-    kind: str  # "uniform" or "dirichlet"
     d: int
-    alpha: Optional[float] = None  # dirichlet only
+    alpha: Optional[float] = None  # None: uniform roots; else Dirichlet(alpha) gaps
 
     def __post_init__(self):
-        if self.kind not in (UNIFORM, DIRICHLET):
-            raise ValueError(f"unknown root model {self.kind!r}")
         if self.d < 1:
             raise ValueError("d must be at least 1")
-        if self.kind == DIRICHLET:
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("dirichlet model needs alpha > 0")
+        if self.alpha is not None and not 0 < self.alpha < math.inf:
+            raise ValueError(f"dirichlet alpha must be finite and > 0, not {self.alpha!r}")
+
+    @property
+    def kind(self) -> str:
+        return UNIFORM if self.alpha is None else DIRICHLET
 
 
 def uniform_points(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -107,7 +100,7 @@ def sample_roots(model: RootModel, rng: np.random.Generator, backend: str = FLOA
     All roots land strictly inside (0,1).
     """
     d = model.d
-    if model.kind == UNIFORM:
+    if model.alpha is None:
         roots = np.sort(rng.random(d))
         while len(np.unique(roots)) < d or roots[0] == 0.0:
             roots = np.sort(rng.random(d))

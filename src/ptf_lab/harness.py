@@ -1,19 +1,21 @@
 """Experiment runner: sweeps, per-trial records, CSV/JSON persistence.
 
 ``run_trial(config, cell, stream)`` is the one function that makes a trial:
-it draws RNG stream ``stream`` of the master seed, runs one learner on one
-fresh random instance and returns a ``Trial`` (CSV row, instance and
-learner result).  sample_search gets a label-only oracle (order 0 only);
-iterative and batch get a full one (orders 0..d-1).  A sweep's stream is
-cell index * trials + trial index, so stream t of a one-cell sweep is
-trial t.  ``backend`` names the draw mode (``distributions.EXACT`` or
+it draws from ``distributions.trial_rng(master_seed, stream)``, runs one
+learner on one fresh random instance and returns a ``Trial`` (CSV row,
+instance and learner result).  sample_search gets a label-only oracle
+(order 0 only); iterative and batch get a full one (orders 0..d-1).  A
+sweep's stream is cell index * trials + trial index, so stream t of a
+one-cell sweep is trial t.  ``backend`` names the draw mode (``distributions.EXACT`` or
 ``FLOAT``).  Both modes draw the same roots and points from a stream; the
 mode decides only whether uniform roots are expanded exactly or in float64
 (Dirichlet roots always are exactly), and signs are evaluated exactly in
-either mode.  ``model`` picks the root distribution of every learner's
-instances.  The row's ``correct`` says whether every label equals the
-ground truth that ``instances.true_labels`` reads off the instance's roots,
-which shares no code with the oracle's sign evaluation.
+either mode.  ``dirichlet_alpha`` picks the root law of every learner's
+instances: None for i.i.d. uniform roots, alpha > 0 for Dirichlet(alpha)
+gaps; the sidecar's ``model`` names it.  The row's ``correct`` says whether
+every label equals the ground truth that ``instances.true_labels`` reads
+off the instance's roots, which shares no code with the oracle's sign
+evaluation.
 Batch rows also carry the learner's ``iterations``, ``loop_rounds`` and
 ``final_round``, which other learners leave empty.  A trial that raises, in
 generation, learning or the check, still yields its row, with ``correct``
@@ -48,12 +50,11 @@ from .distributions import (
     DIRICHLET,
     EXACT,
     FLOAT,
-    UNIFORM,
     RootModel,
-    Seed,
     dirichlet_multinomial_entropy,
     entropy_lower_bound_uniform,
     random_instance,
+    trial_rng,
 )
 from .instances import Instance, true_labels
 from .oracle import Oracle
@@ -96,8 +97,7 @@ class ExperimentConfig:
     master_seed: int
     backend: str = FLOAT  # draw mode: uniform roots expanded exactly or in float64
     alphas: tuple[float, ...] = ()  # batch learner only
-    model: str = UNIFORM  # root model of every learner's instances
-    dirichlet_alpha: float = 1.0
+    dirichlet_alpha: Optional[float] = None  # None: uniform roots; else Dirichlet(alpha) gaps
     random_leading: bool = False
     out: Optional[str] = None
 
@@ -112,7 +112,7 @@ class ExperimentConfig:
             raise ValueError("sweep lists must be non-empty")
         if min(self.n_values) < 1:
             raise ValueError("n must be at least 1")
-        for d in self.d_values:  # raises on d or a model out of range
+        for d in self.d_values:  # raises on d or dirichlet_alpha out of range
             self.root_model(d)
         if self.out is not None and Path(self.out).suffix == ".json":
             raise ValueError(f"out {self.out!r} ends in .json, the suffix of its JSON sidecar")
@@ -126,8 +126,7 @@ class ExperimentConfig:
 
     def root_model(self, d: int) -> RootModel:
         """The distribution of a degree-d instance's roots."""
-        alpha = self.dirichlet_alpha if self.model == DIRICHLET else None
-        return RootModel(self.model, d, alpha)
+        return RootModel(d, self.dirichlet_alpha)
 
     def cells(self) -> list[dict]:
         out = []
@@ -137,7 +136,7 @@ class ExperimentConfig:
                     for a in self.alphas:
                         out.append({"d": d, "n": n, "alpha": a})
                 else:
-                    alpha = self.dirichlet_alpha if self.model == DIRICHLET else ""
+                    alpha = "" if self.dirichlet_alpha is None else self.dirichlet_alpha
                     out.append({"d": d, "n": n, "alpha": alpha})
         return out
 
@@ -153,7 +152,7 @@ class Trial:
 
 def run_trial(config: ExperimentConfig, cell: dict, stream: int) -> Trial:
     """Make trial `stream` of the sweep: one learner on one fresh random instance."""
-    rng = Seed(config.master_seed, stream).rng()
+    rng = trial_rng(config.master_seed, stream)
     d, n = cell["d"], cell["n"]
     row = {
         "trial": stream % config.trials,
@@ -274,7 +273,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             **{k: v for k, v in cell.items()},
             "learner": config.learner,
             "backend": config.backend,
-            "model": config.model,
+            "model": config.root_model(cell["d"]).kind,
             "trials": len(chunk),
             "all_correct": all(r["correct"] for r in chunk),
             "mean_queries": float(totals.mean()),

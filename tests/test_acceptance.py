@@ -24,7 +24,7 @@ and on the n = 2^8 cells those signs must equal the exact reference signs.
 
 The fixtures are harness trials: rows of ``harness.run``, or ``run_trial`` where
 a criterion reads level signs.  Each cell is a one-cell config, so its stream t
-is the stream ``Seed`` gives for (seed, t).  Criteria 5, 6 and 11 are not sweeps.
+is ``trial_rng(seed, t)``.  Criteria 5, 6 and 11 are not sweeps.
 """
 
 import math
@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from ptf_lab import batch, iterative
-from ptf_lab.distributions import RootModel, Seed, random_instance
+from ptf_lab.distributions import RootModel, random_instance, trial_rng
 from ptf_lab.harness import BATCH, ITERATIVE, SAMPLE_SEARCH, ExperimentConfig, run, run_trial
 from ptf_lab.harness import entropy_floors, verify_lower_bounds
 from ptf_lab.oracle import Oracle
@@ -89,8 +89,7 @@ def rows(learner, d, n, trials, seed, backend="float", **kw) -> list[dict]:
 
 def sample_search_rows(d, n, trials, seed, alpha=None, backend="float") -> list[dict]:
     """Uniform roots if alpha is None, else Dirichlet(alpha) root gaps."""
-    kw = {} if alpha is None else dict(model="dirichlet", dirichlet_alpha=alpha)
-    return rows(SAMPLE_SEARCH, d, n, trials, seed, backend, **kw)
+    return rows(SAMPLE_SEARCH, d, n, trials, seed, backend, dirichlet_alpha=alpha)
 
 
 def iterative_rows(d, n, trials, seed, backend="float") -> list[dict]:
@@ -251,8 +250,8 @@ def test_criterion_5_coverage_lemma():
     hits = 0
     trials = 500
     for t in range(trials):
-        rng = Seed(17_000, t).rng()
-        inst = random_instance(500, RootModel("uniform", d), rng)
+        rng = trial_rng(17_000, t)
+        inst = random_instance(500, RootModel(d), rng)
         sampled = np.unique(rng.integers(0, 500, size=m))
         pts = np.asarray(inst.points)
         patterns = pattern_block(inst.hidden, pts[sampled], d)
@@ -273,8 +272,8 @@ def test_criterion_6_inference_dimension_witness():
     for d in (2, 3):
         size = d * d + d + 3
         for t in range(200):
-            rng = Seed(18_000 + d, t).rng()
-            inst = random_instance(size, RootModel("uniform", d), rng, backend="exact")
+            rng = trial_rng(18_000 + d, t)
+            inst = random_instance(size, RootModel(d), rng, backend="exact")
             patterns = pattern_block(inst.hidden, inst.points, d)
             idx = np.arange(size)
             recovered = 0
@@ -372,13 +371,13 @@ def test_criterion_10_lower_bound_fixtures():
 def test_criterion_11_cross_learner_sanity():
     mismatches = 0
     for t in range(50):
-        rng = Seed(19_000, t).rng()
-        inst = random_instance(512, RootModel("uniform", 3), rng)
+        rng = trial_rng(19_000, t)
+        inst = random_instance(512, RootModel(3), rng)
         o1 = Oracle(inst.hidden, 3)
         res_iter = iterative.learn_all(inst, o1)
         o2 = Oracle(inst.hidden, 3)
         params = batch.BatchParams(d=3, n=512, alpha=0.5)
-        res_batch = batch.learn_all(inst, o2, params, Seed(19_500, t).rng())
+        res_batch = batch.learn_all(inst, o2, params, trial_rng(19_500, t))
         if not np.array_equal(res_iter.labels, res_batch.labels):
             mismatches += 1
     criterion(

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptf_lab.batch import BatchParams, infer_labels, learn_all
+from ptf_lab.distributions import trial_rng
 from ptf_lab.instances import true_labels
 from ptf_lab.oracle import Oracle
 
@@ -18,7 +19,6 @@ from util import (
     make_instance,
     pattern_block,
     restricted_infer,
-    trial_rng,
 )
 
 

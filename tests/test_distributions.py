@@ -7,19 +7,21 @@ import numpy as np
 import pytest
 
 from ptf_lab.distributions import (
+    DIRICHLET,
     EXACT,
+    UNIFORM,
     RootModel,
-    Seed,
     dirichlet_gaps,
     dirichlet_multinomial_entropy,
     entropy_lower_bound_uniform,
     random_instance,
     sample_roots,
+    trial_rng,
     uniform_points,
 )
 from ptf_lab.polynomial import from_roots
 
-from util import dirichlet_multinomial_entropy_by_enumeration, ks_statistic_uniform, trial_rng
+from util import dirichlet_multinomial_entropy_by_enumeration, ks_statistic_uniform
 
 
 class TestUniformPoints:
@@ -39,7 +41,7 @@ class TestUniformPoints:
     def test_exact_backend_sorted_distinct(self):
         # the draw modes read one stream alike: equal points, and exact
         # uniform roots are the float roots as Fractions
-        model = RootModel("uniform", 6)
+        model = RootModel(6)
         for stream in range(20):
             exact_rng, float_rng = trial_rng(5, stream), trial_rng(5, stream)
             exact = random_instance(500, model, exact_rng, backend=EXACT)
@@ -117,7 +119,7 @@ ROOT_SCRIPTS = {
 def test_float_uniform_roots_redraw_repeats_and_zeros(name):
     # every scripted draw is rejected; the first unscripted one is kept, sorted
     rng = ScriptedDraws(9, ROOT_SCRIPTS[name])
-    roots = sample_roots(RootModel("uniform", 3), rng)
+    roots = sample_roots(RootModel(3), rng)
     assert rng.calls == len(ROOT_SCRIPTS[name]) + 1
     assert roots == sorted(np.random.default_rng(9).random(3).tolist())
     assert 0 < roots[0] < roots[1] < roots[2] < 1
@@ -133,7 +135,7 @@ class TestRootModels:
 
     def test_exact_dirichlet_gaps_sum_exactly_one(self):
         rng = trial_rng(12)
-        hidden = from_roots(sample_roots(RootModel("dirichlet", 3, 1.0), rng, backend=EXACT))
+        hidden = from_roots(sample_roots(RootModel(3, 1.0), rng, backend=EXACT))
         # prefix-sum roots of exactly-normalized gaps stay inside (0, 1)
         assert hidden.degree == 3
         roots_poly_at_one = sum(hidden.coeffs)
@@ -142,7 +144,7 @@ class TestRootModels:
     def test_flat_dirichlet_single_root_is_uniform(self):
         # with d = 1, alpha = 1 the root is Beta(1,1) = Uniform[0,1]
         rng = trial_rng(13)
-        model = RootModel("dirichlet", 1, 1.0)
+        model = RootModel(1, 1.0)
         # the Fraction roots are read as floats: a KS test needs no more precision
         roots = np.array([float(sample_roots(model, rng)[0]) for _ in range(100_000)])
         assert ks_statistic_uniform(roots) < 0.01
@@ -180,9 +182,11 @@ class TestRootModels:
     @pytest.mark.parametrize("kind,alpha", [("uniform", None), ("dirichlet", 2.0)])
     @pytest.mark.parametrize("backend", ["float", "exact"])
     def test_roots_inside_unit_interval(self, kind, alpha, backend):
+        model = RootModel(3, alpha)
+        assert model.kind == kind
         rng = trial_rng(17)
         for _ in range(50):
-            roots = sample_roots(RootModel(kind, 3, alpha), rng, backend=backend)
+            roots = sample_roots(model, rng, backend=backend)
             hidden = from_roots(roots)
             assert hidden.degree == 3
             assert hidden.eval_sign(0 if backend == EXACT else 0.0) == (-1) ** 3
@@ -192,11 +196,11 @@ class TestRootModels:
         # at alpha = 0.1 and d = 8, stream 21's gaps put two float prefix sums
         # on one value; the exact prefix sums stay distinct, so either draw
         # mode makes its roots from one dirichlet_gaps draw
-        model = RootModel("dirichlet", 8, 0.1)
-        ref = Seed(99, 21).rng()
+        model = RootModel(8, 0.1)
+        ref = trial_rng(99, 21)
         float_sums = np.cumsum(dirichlet_gaps(8, 0.1, ref))[:8]
         assert not np.all(np.diff(float_sums) > 0)
-        rngs = {EXACT: Seed(99, 21).rng(), "float": Seed(99, 21).rng()}
+        rngs = {EXACT: trial_rng(99, 21), "float": trial_rng(99, 21)}
         roots = {mode: sample_roots(model, rng, backend=mode) for mode, rng in rngs.items()}
         assert roots["float"] == roots[EXACT]
         assert all(type(r) is Fraction for r in roots["float"])
@@ -205,31 +209,60 @@ class TestRootModels:
             assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            RootModel("dirichlet", 2, None)
-        with pytest.raises(ValueError):
-            RootModel("weird", 2, 1.0)
+        # alpha alone picks the law: None is uniform, any alpha > 0 Dirichlet
+        assert (RootModel(2).kind, RootModel(2, 0.05).kind) == (UNIFORM, DIRICHLET)
+        for alpha in (0.0, -1.0, float("nan"), math.inf):
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                RootModel(2, alpha)
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            RootModel(0)
 
     def test_random_instance_shapes(self):
-        inst = random_instance(64, RootModel("uniform", 2), trial_rng(18))
+        inst = random_instance(64, RootModel(2), trial_rng(18))
         assert inst.n == 64 and inst.d == 2
 
     def test_seed_streams_are_independent(self):
-        a = Seed(99, 0).rng().random(4)
-        b = Seed(99, 1).rng().random(4)
+        a = trial_rng(99, 0).random(4)
+        b = trial_rng(99, 1).random(4)
         assert not np.array_equal(a, b)
-        assert np.array_equal(a, Seed(99, 0).rng().random(4))
+        assert np.array_equal(a, trial_rng(99, 0).random(4))
+
+    def test_numpy_generator_streams_are_pinned(self):
+        # A canary: the first values of every generator method a trial calls,
+        # recorded under numpy 2.4.6.  NEP 19 lets numpy change these streams
+        # in a new release, and every golden cell (tests/test_golden.py) and
+        # pinned CLI output depends on them.
+        def draws(method, *args, **kwargs):
+            return getattr(trial_rng(0), method)(*args, **kwargs).tolist()
+
+        got = {
+            "random": draws("random", 4),
+            "permutation": draws("permutation", 10),
+            "gamma": draws("gamma", 0.1, 1.0, size=3),
+            "integers": draws("integers", 0, 1000, size=6),
+            "choice": draws("choice", [-1, 1], size=8),
+        }
+        want = {
+            "random": [
+                0.9429375528828794, 0.3163371523854981, 0.7223425886498254, 0.12560308543269327
+            ],
+            "permutation": [4, 9, 8, 7, 5, 3, 0, 1, 2, 6],
+            "gamma": [0.6383282467089892, 0.03867516829025339, 0.0001832993735464811],
+            "integers": [802, 942, 5, 316, 758, 722],
+            "choice": [1, 1, -1, -1, 1, 1, -1, -1],
+        }
+        assert got == want, (
+            f"numpy {np.__version__} draws other values from SeedSequence(0, spawn_key=(0,)) "
+            "than numpy 2.4.6 did.  NEP 19 does not promise stable Generator streams "
+            "across releases; the golden cells of tests/test_golden.py and every pinned "
+            "seed depend on these streams, so expect them to fail too."
+        )
 
 
 class TestEntropyBounds:
     def test_small_binomials(self):
         assert entropy_lower_bound_uniform(3, 1) == pytest.approx(2.0)
         assert entropy_lower_bound_uniform(10, 2) == pytest.approx(math.log2(66), abs=1e-9)
-
-    def test_float_matches_exact_big_integer(self):
-        approx = entropy_lower_bound_uniform(10**6, 5)
-        exact = math.log2(math.comb(10**6 + 5, 5))  # math.log2 takes big ints
-        assert abs(approx - exact) / exact < 1e-9
 
     def test_hand_checkable_lower_bound(self):
         for n, d in [(10, 1), (100, 3), (10**6, 5), (50, 7)]:
@@ -252,10 +285,14 @@ class TestEntropyBounds:
         want = dirichlet_multinomial_entropy_by_enumeration(n, d, alpha)
         assert dirichlet_multinomial_entropy(n, d, alpha) == pytest.approx(want, rel=1e-9)
 
-    @pytest.mark.parametrize("d", [1, 4, 8])
-    @pytest.mark.parametrize("n", [1, 20, 4096, 2**16])
+    @pytest.mark.parametrize(
+        "n, d", [(n, d) for n in (1, 20, 4096, 2**16) for d in (1, 4, 8)] + [(10**6, 5)]
+    )
     def test_flat_dirichlet_multinomial_is_the_closed_form(self, n, d):
+        # C(n+d, d) = prod over i = 1..d of (n+i)/i
+        product = sum(math.log2((n + i) / i) for i in range(1, d + 1))
         want = entropy_lower_bound_uniform(n, d)
+        assert want == pytest.approx(product, rel=1e-12)
         assert dirichlet_multinomial_entropy(n, d, 1.0) == pytest.approx(want, rel=1e-12)
 
     def test_entropy_decreases_with_concentration(self):

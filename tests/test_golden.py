@@ -53,8 +53,7 @@ CELLS = {
         learner=SS, d=3, n=64, backend=EXACT, trials=4, seed=302, random_leading=True
     ),
     "sample_search-exact-dirichlet-d2-n32": dict(
-        learner=SS, d=2, n=32, backend=EXACT, trials=4, seed=303, model="dirichlet",
-        dirichlet_alpha=1.0,
+        learner=SS, d=2, n=32, backend=EXACT, trials=4, seed=303, dirichlet_alpha=1.0,
     ),
     "iterative-float-d3-n256": dict(learner=IT, d=3, n=256, backend=FLOAT, trials=4, seed=401),
     "batch-float-d3-n4096": dict(

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ptf_lab.distributions import DIRICHLET, EXACT, FLOAT, UNIFORM, RootModel, Seed, random_instance
+from ptf_lab.distributions import (
+    DIRICHLET,
+    EXACT,
+    FLOAT,
+    UNIFORM,
+    RootModel,
+    random_instance,
+    trial_rng,
+)
 from ptf_lab.instances import Instance, true_labels
 from ptf_lab.polynomial import Polynomial, eval_sign_block, from_roots
 
@@ -81,8 +89,8 @@ def test_drawn_instances_label_as_their_hidden_polynomial(
     master, stream, n, d, alpha, kind_mode, random_leading
 ):
     kind, mode = kind_mode
-    model = RootModel(kind, d, alpha if kind == DIRICHLET else None)
-    rng = Seed(master, stream).rng()
+    model = RootModel(d, alpha if kind == DIRICHLET else None)
+    rng = trial_rng(master, stream)
     inst = random_instance(n, model, rng, backend=mode, random_leading=random_leading)
     assert np.array_equal(true_labels(inst), eval_sign_block((inst.hidden,), inst.points)[0])
 

@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ptf_lab.distributions import EXACT, FLOAT, RootModel, random_instance
+from ptf_lab.distributions import EXACT, FLOAT, RootModel, random_instance, trial_rng
 from ptf_lab.instances import Instance, true_labels
 from ptf_lab.iterative import learn_all, query_bound, segment_bound
 from ptf_lab.oracle import Oracle
 from ptf_lab.polynomial import Polynomial, from_roots
 
-from util import full_oracle, label_oracle, make_instance, trial_rng, true_signs
+from util import full_oracle, label_oracle, make_instance, true_signs
 
 F = Fraction
 
@@ -172,9 +172,9 @@ class TestLearnAll:
     @pytest.mark.parametrize("backend", [EXACT, FLOAT])
     @pytest.mark.parametrize("d", range(1, 9))
     def test_no_query_is_asked_twice(self, backend, d):
-        models = [RootModel("uniform", d)]
+        models = [RootModel(d)]
         if backend == EXACT:
-            models.append(RootModel("dirichlet", d, 0.2))
+            models.append(RootModel(d, 0.2))
         for model in models:
             for n in (1, 2, 3, 256):
                 for seed in range(5):

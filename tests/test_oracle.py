@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptf_lab.distributions import EXACT, FLOAT, RootModel, Seed, random_instance
+from ptf_lab.distributions import EXACT, FLOAT, RootModel, random_instance, trial_rng
 from ptf_lab.oracle import DisallowedOrder, Oracle
 from ptf_lab.polynomial import Polynomial, from_roots
 
@@ -64,9 +64,9 @@ def block_cases():
     near them wrong.  Then a hidden polynomial of degree 2 under d = 4, whose
     rows have degrees 2, 1, 0 and -1, and the zero polynomial.
     """
-    models = (RootModel("uniform", 6), RootModel("dirichlet", 8, 0.1))
+    models = (RootModel(6), RootModel(8, 0.1))
     for k, (backend, model) in enumerate((b, m) for b in (EXACT, FLOAT) for m in models):
-        inst = random_instance(48, model, Seed(61, k).rng(), backend=backend)
+        inst = random_instance(48, model, trial_rng(61, k), backend=backend)
         on = [float(r) for r in inst.roots]
         near = [np.nextafter(r, side) for r in on for side in (-np.inf, np.inf)]
         yield inst.hidden, model.d, np.concatenate([inst.points, -inst.points[:8], on, near])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ptf_lab.distributions import RootModel, Seed, random_instance
+from ptf_lab.distributions import RootModel, random_instance, trial_rng
 from ptf_lab.polynomial import (
     DuplicateRoots,
     Polynomial,
@@ -149,7 +149,7 @@ class TestOneClass:
     @pytest.mark.parametrize("backend", ["float", "exact"])
     def test_random_instance_pickles(self, backend):
         inst = random_instance(
-            50, RootModel("uniform", 4), Seed(19, 3).rng(), backend=backend, random_leading=True
+            50, RootModel(4), trial_rng(19, 3), backend=backend, random_leading=True
         )
         back = pickle.loads(pickle.dumps(inst))
         assert back.hidden == inst.hidden and back.roots == inst.roots and back.d == inst.d
@@ -411,7 +411,7 @@ def test_clustered_float_draw_signs_are_exact():
     # exact expansion of its Fraction roots) and its derivatives come close
     # to 0 at many points; plain float Horner gets some of these signs wrong
     d = 8
-    inst = random_instance(4096, RootModel("dirichlet", d, 0.1), Seed(99, 6).rng())
+    inst = random_instance(4096, RootModel(d, 0.1), trial_rng(99, 6))
     coeffs, xs = inst.hidden.coeffs, inst.points.tolist()
     for order in range(d):
         want = [reference_sign(coeffs, x, order) for x in xs]

@@ -7,16 +7,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ptf_lab import sample_search
+from ptf_lab import harness, sample_search
 from ptf_lab.distributions import (
     EXACT,
     FLOAT,
     RootModel,
     random_instance,
     sample_roots,
+    trial_rng,
     uniform_points,
 )
 from ptf_lab.instances import Instance, true_labels
@@ -24,7 +25,13 @@ from ptf_lab.oracle import Oracle
 from ptf_lab.polynomial import Polynomial, from_roots
 from ptf_lab.sample_search import DegreeViolation, sample_and_search
 
-from util import label_oracle, make_instance, reference_sample_and_search, trial_rng, z_law_cdf
+from util import (
+    check_sample_search_accounting,
+    label_oracle,
+    make_instance,
+    reference_sample_and_search,
+    z_law_cdf,
+)
 
 
 class FixedOrder:
@@ -149,8 +156,8 @@ def run_with(learner, inst, d_roots, rng):
 def test_matches_reference_rule(n, alpha, seed, d, backend, fewer):
     # d_roots below the root count d may raise DegreeViolation; both must
     # then raise after the same queries
-    model = RootModel("uniform", d) if alpha is None else RootModel("dirichlet", d, alpha)
-    inst = random_instance(n, model, trial_rng(seed), backend=backend, random_leading=True)
+    rng = trial_rng(seed)
+    inst = random_instance(n, RootModel(d, alpha), rng, backend=backend, random_leading=True)
     d_roots = max(d - fewer, 0)
     got, got_asked, got_counts = run_recorded(sample_and_search, inst, d_roots, seed)
     want, want_asked, want_counts = run_recorded(reference_sample_and_search, inst, d_roots, seed)
@@ -247,8 +254,7 @@ def on_and_beside_roots(points, roots):
 def test_exact_edge_cases_match_reference(n, beside_roots, leading, seed, d, fewer, alpha):
     # the hidden polynomial has d_roots = d - fewer roots, under a degree bound of d
     d_roots = max(d - fewer, 1)
-    kind = "uniform" if alpha is None else "dirichlet"
-    model = RootModel(kind, d_roots, alpha)
+    model = RootModel(d_roots, alpha)
     rng = trial_rng(seed)
     roots = tuple(sample_roots(model, rng, backend=EXACT))
     points = uniform_points(n, rng)
@@ -298,3 +304,27 @@ def test_z_law_closed_form_matches_enumeration(n, d):
     pmf = enumerated_z_law(n, d)
     cdf = list(itertools.accumulate(pmf))
     assert cdf == [z_law_cdf(z, n, d) for z in range(n + 1)]
+
+
+@given(
+    master=st.integers(0, 2**32 - 1),
+    stream=st.integers(0, 2**16),
+    d=st.integers(1, 8),
+    n=st.integers(1, 2**12),
+    alpha=st.one_of(st.none(), st.floats(0.05, 4)),
+    backend=st.sampled_from([EXACT, FLOAT]),
+    random_leading=st.booleans(),
+)
+@example(master=0, stream=0, d=1, n=1, alpha=None, backend=FLOAT, random_leading=False)
+@example(master=1, stream=2, d=8, n=2, alpha=0.05, backend=EXACT, random_leading=True)
+@example(master=99, stream=6, d=8, n=4096, alpha=0.1, backend=FLOAT, random_leading=False)
+@settings(max_examples=60, deadline=None)
+def test_trials_keep_their_accounting(master, stream, d, n, alpha, backend, random_leading):
+    # every configuration the harness takes for sample_search, one trial each
+    config = harness.ExperimentConfig(
+        harness.SAMPLE_SEARCH, (d,), (n,), 1, master, backend=backend,
+        dirichlet_alpha=alpha, random_leading=random_leading,
+    )
+    trial = harness.run_trial(config, config.cells()[0], stream)
+    assert trial.result is not None, trial.row["case"]
+    check_sample_search_accounting(config, trial)

@@ -12,16 +12,12 @@ import numpy as np
 
 from ptf_lab.adversarial import Witness
 from ptf_lab.batch import infer_labels
-from ptf_lab.distributions import RootModel, Seed, random_instance
-from ptf_lab.instances import Instance
+from ptf_lab.distributions import RootModel, random_instance, trial_rng
+from ptf_lab.instances import Instance, true_labels
 from ptf_lab.oracle import Oracle
 from ptf_lab.iterative import find_flip
 from ptf_lab.polynomial import Polynomial, eval_sign_block
 from ptf_lab.sample_search import AvgCaseResult, DegreeViolation
-
-
-def trial_rng(master: int, stream: int = 0) -> np.random.Generator:
-    return Seed(master, stream).rng()
 
 
 def pattern_block(p: Polynomial, xs, d: int) -> np.ndarray:
@@ -29,9 +25,8 @@ def pattern_block(p: Polynomial, xs, d: int) -> np.ndarray:
     return eval_sign_block([p.derivative(o) for o in range(d)], xs)
 
 
-def make_instance(n, d, seed, backend="float", model="uniform", alpha=None):
-    rng = trial_rng(seed)
-    return random_instance(n, RootModel(model, d, alpha), rng, backend=backend)
+def make_instance(n, d, seed, backend="float"):
+    return random_instance(n, RootModel(d), trial_rng(seed), backend=backend)
 
 
 def full_oracle(instance: Instance) -> Oracle:
@@ -224,6 +219,50 @@ def reference_sample_and_search(instance, oracle, d_roots, rng) -> AvgCaseResult
         prev = b + 1
     labels[prev:] = sign
     return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case="b", flips=flips)
+
+
+def check_sample_search_accounting(config, trial) -> None:
+    """Assert that a sample_search trial's counts are what its own stream implies.
+
+    The trial's stream is replayed: ``random_instance``, then
+    ``rng.permutation(n)``, the probe order, then the hidden polynomial's
+    signs at every point.  A probe never removes a flip among the probes read
+    in x order, so the flip count grows with the number of probes k, and
+    ``z`` must be the first k that shows d flips (case "b"), or n if even all
+    n points show fewer (case "a").  Phase 2 searches each flip bracket, the
+    points strictly between two neighbouring probes of opposite sign, L apart
+    in index: its queries lie between the sums of floor(log2 L) and of
+    ceil(log2 L).  The labels must be the hidden polynomial's signs.
+    """
+    row, result = trial.row, trial.result
+    d, n = row["d"], row["n"]
+    rng = trial_rng(config.master_seed, row["seed_stream"])
+    inst = random_instance(
+        n, config.root_model(d), rng, backend=config.backend, random_leading=config.random_leading
+    )
+    assert np.array_equal(inst.points, trial.instance.points), "replay draws other points"
+    assert inst.roots == trial.instance.roots, "replay draws other roots"
+    order = rng.permutation(n)
+    signs = eval_sign_block((inst.hidden,), inst.points)[0]
+
+    def flips(k: int) -> int:  # sign changes among the first k probes, in x order
+        return int(np.count_nonzero(np.diff(signs[np.sort(order[:k])])))
+
+    assert np.array_equal(result.labels, signs), "labels are not the hidden signs"
+    assert row["correct"] == bool(np.array_equal(signs, true_labels(inst)))
+    search = row["queries_total"] - row["z"]
+    assert search == result.search_queries
+    if flips(n) < d:
+        assert (row["case"], row["z"], search) == ("a", n, 0), row
+        return
+    z = bisect.bisect_left(range(n + 1), d, key=flips)  # the first k with d flips
+    assert (row["case"], row["z"]) == ("b", z), (row, z)
+    probes = np.sort(order[:z])
+    widths = np.diff(probes)[np.diff(signs[probes]) != 0].tolist()
+    assert len(widths) == d
+    least = sum(w.bit_length() - 1 for w in widths)  # floor(log2 L)
+    most = sum((w - 1).bit_length() for w in widths)  # ceil(log2 L)
+    assert least <= search <= most, (row, widths)
 
 
 def fraction_from_roots(roots, leading: int = 1) -> Polynomial:
