@@ -14,7 +14,6 @@ import json
 import sys
 
 from . import harness
-from .distributions import EXACT, FLOAT
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -41,10 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "without it the d roots are i.i.d. uniform")
     p_run.add_argument("--trials", type=int, default=100)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--backend", choices=[EXACT, FLOAT], default=FLOAT,
-                       help="how uniform roots are expanded: exact (as Fractions) or float "
-                       "(in float64); both draw the same roots and points, Dirichlet roots "
-                       "are always exact, and signs are exact either way")
     p_run.add_argument("--random-leading", action="store_true",
                        help="flip the hidden leading sign with probability 1/2")
     p_run.add_argument("--out", default=None, help="CSV output path (JSON sidecar alongside)")
@@ -73,7 +68,6 @@ def main(argv=None) -> int:
                 n_values=args.n,
                 trials=args.trials,
                 master_seed=args.seed,
-                backend=args.backend,
                 alphas=args.alpha,
                 dirichlet_alpha=args.dirichlet_alpha,
                 random_leading=args.random_leading,

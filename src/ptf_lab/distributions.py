@@ -6,14 +6,16 @@ symmetric Dirichlet(alpha) (sampled as normalized Gamma(alpha, 1) draws).
 Points are i.i.d. uniform on [0,1].  ``trial_rng(master, stream)`` is the
 generator of one trial, so a (master, stream) pair fixes every draw.
 
-Both draw modes (``EXACT`` or ``FLOAT``, the harness's ``backend``) read
-one stream alike and draw the same values: points and uniform roots from
-``rng.random``, which lie on the 2^-53 grid, and Dirichlet roots as the exact
-prefix sums of the gaps, renormalized to sum to 1, as ``Fraction``s.  The
-mode decides one thing only: whether uniform roots are kept as floats, so
-the hidden polynomial has the float coefficients of a float64 expansion
-(``FLOAT``), or become the same values as ``Fraction``s, so it has exact
-rational coefficients (``EXACT``).  Signs are evaluated exactly either way.
+Both draw modes (``EXACT``, the default, or ``FLOAT``, the harness's
+``backend``) read one stream alike and draw the same values: points and
+uniform roots from ``rng.random``, which lie on the 2^-53 grid, and Dirichlet
+roots as the exact prefix sums of the gaps, renormalized to sum to 1, as
+``Fraction``s.  The mode decides one thing only: whether uniform roots become
+the same values as ``Fraction``s, so the hidden polynomial is the exact
+product of its listed roots (``EXACT``), or stay floats, so it has the
+rounded coefficients of a float64 expansion (``FLOAT``), which need not
+change sign at those roots.  The float expansion serves only callers that
+name ``FLOAT``.  Signs are evaluated exactly either way.
 
 The entropy floors are entropies of the count vector, how many points fall in
 each of the d+1 gaps: log2 C(n+d, d) for uniform roots, and for Dirichlet gaps
@@ -88,14 +90,14 @@ def dirichlet_gaps(d: int, alpha: float, rng: np.random.Generator) -> np.ndarray
             return g / g.sum()
 
 
-def sample_roots(model: RootModel, rng: np.random.Generator, backend: str = FLOAT) -> list:
+def sample_roots(model: RootModel, rng: np.random.Generator, backend: str = EXACT) -> list:
     """Sample d sorted, distinct roots with the model's distribution.
 
     Uniform: d i.i.d. U[0,1] roots, drawn again while two repeat or one is
-    0; they are floats in the float draw mode and the same values as
-    ``Fraction``s in the exact draw mode.  Dirichlet: the d+1 sampled gaps,
-    read as ``Fraction``s, are renormalized to sum to 1 exactly, and the
-    roots are their exact prefix sums, ``Fraction``s in both draw modes;
+    0; they are ``Fraction``s in the exact draw mode (the default) and the
+    same values as floats in the float draw mode.  Dirichlet: the d+1
+    sampled gaps, read as ``Fraction``s, are renormalized to sum to 1
+    exactly, and the roots are their exact prefix sums, in both draw modes;
     positive gaps never make two roots collide, so nothing is drawn again.
     All roots land strictly inside (0,1).
     """
@@ -123,7 +125,7 @@ def random_instance(
     n: int,
     model: RootModel,
     rng: np.random.Generator,
-    backend: str = FLOAT,
+    backend: str = EXACT,
     random_leading: bool = False,
 ) -> Instance:
     """Draw the leading sign, then the roots, then the points, in that order."""
@@ -159,8 +161,9 @@ def dirichlet_multinomial_entropy(n: int, d: int, alpha: float) -> float:
         raise ValueError("alpha must be positive")
     k = d + 1
     j = np.arange(n, dtype=float)
-    # P(C_0 = j+1) / P(C_0 = j), so log_pmf is the log pmf up to a constant
-    ratio = (n - j) * (alpha + j) / ((j + 1) * (d * alpha + n - j - 1))
+    # P(C_0 = j+1) / P(C_0 = j), so log_pmf is the log pmf up to a constant;
+    # the integer n - j - 1 goes in whole, as (d alpha + n) - n loses d alpha's bits
+    ratio = (n - j) * (alpha + j) / ((j + 1) * (d * alpha + (n - j - 1)))
     log_pmf = np.concatenate(([0.0], np.cumsum(np.log(ratio))))
     pmf = np.exp(log_pmf - log_pmf.max())
     tail = np.cumsum(pmf[::-1])[::-1][1:] / pmf.sum()  # P(C_0 > j), summed from the right

@@ -6,16 +6,16 @@ learner on one fresh random instance and returns a ``Trial`` (CSV row,
 instance and learner result).  sample_search gets a label-only oracle
 (order 0 only); iterative and batch get a full one (orders 0..d-1).  A
 sweep's stream is cell index * trials + trial index, so stream t of a
-one-cell sweep is trial t.  ``backend`` names the draw mode (``distributions.EXACT`` or
-``FLOAT``).  Both modes draw the same roots and points from a stream; the
-mode decides only whether uniform roots are expanded exactly or in float64
-(Dirichlet roots always are exactly), and signs are evaluated exactly in
-either mode.  ``dirichlet_alpha`` picks the root law of every learner's
-instances: None for i.i.d. uniform roots, alpha > 0 for Dirichlet(alpha)
-gaps; the sidecar's ``model`` names it.  The row's ``correct`` says whether
-every label equals the ground truth that ``instances.true_labels`` reads
-off the instance's roots, which shares no code with the oracle's sign
-evaluation.
+one-cell sweep is trial t.  ``backend`` names the draw mode,
+``distributions.EXACT`` by default; the float64 expansion of uniform roots
+serves only configs that name ``FLOAT``.  Both modes draw the same roots and
+points from a stream, Dirichlet roots are always expanded exactly, and signs
+are evaluated exactly in either mode.  ``dirichlet_alpha`` picks the root
+law of every learner's instances: None for i.i.d. uniform roots, alpha > 0
+for Dirichlet(alpha) gaps; the sidecar's ``model`` names it.  The row's
+``correct`` says whether every label equals the ground truth that
+``instances.true_labels`` reads off the instance's roots, which shares no
+code with the oracle's sign evaluation.
 Batch rows also carry the learner's ``iterations``, ``loop_rounds`` and
 ``final_round``, which other learners leave empty.  A trial that raises, in
 generation, learning or the check, still yields its row, with ``correct``
@@ -95,7 +95,7 @@ class ExperimentConfig:
     n_values: tuple[int, ...]
     trials: int
     master_seed: int
-    backend: str = FLOAT  # draw mode: uniform roots expanded exactly or in float64
+    backend: str = EXACT  # the float64 expansion serves only callers that name FLOAT
     alphas: tuple[float, ...] = ()  # batch learner only
     dirichlet_alpha: Optional[float] = None  # None: uniform roots; else Dirichlet(alpha) gaps
     random_leading: bool = False

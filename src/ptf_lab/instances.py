@@ -8,13 +8,15 @@ The hidden polynomial is what the oracle answers about; learners reach it
 only through an Oracle.  Ground truth comes from the roots instead.  The
 hidden polynomial is lead * prod(x - r) over its listed roots r, times a
 factor that is positive at every sample point (1 for every instance the
-library draws), so its label at x is lead * (-1)**#{roots > x}, and +1 on a
-root (sign(0) = +1).  Roots keep their own type (Dirichlet roots, in either
-draw mode, are ``Fraction``s off the float grid).  ``true_labels`` places
-each root among the points with ``np.searchsorted`` on the root's nearest
-float, then compares the one point that can equal that float with the root
-exactly.  It never evaluates the polynomial, so it shares no code with the
-oracle's sign evaluation.
+library draws exactly, as it does by default), so its label at x is
+lead * (-1)**#{roots > x}, and +1 on a root (sign(0) = +1).  Only callers
+that name the ``FLOAT`` draw mode get a float64 expansion of uniform roots,
+whose rounded coefficients need not change sign at those roots.  Roots keep
+their own type (Dirichlet roots, in either draw mode, are ``Fraction``s off
+the float grid).  ``true_labels`` places each root among the points with
+``np.searchsorted`` on the root's nearest float, then compares the one point
+that can equal that float with the root exactly.  It never evaluates the
+polynomial, so it shares no code with the oracle's sign evaluation.
 """
 
 from __future__ import annotations

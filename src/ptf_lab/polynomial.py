@@ -50,11 +50,11 @@ they get no sign.
 
 A derivative (i * c_i over the same D) and an exact ``from_roots`` expansion
 (the integers of prod(b_i x - a_i)) are built by ``_from_ints`` from their
-integers alone.  The float ``from_roots`` branch now serves only the uniform
-roots of the float draw mode (Dirichlet roots are ``Fraction``s in both
-modes).  Until it goes, ``coeffs`` has two meanings: as given to
-``Polynomial(coeffs)``, or ``Fraction``s made from the integers on first
-read and kept.
+integers alone.  Draws are exact by default, so the float ``from_roots``
+branch serves only the uniform roots of callers that name the ``FLOAT``
+draw mode (Dirichlet roots are ``Fraction``s in both modes).  Until it goes,
+``coeffs`` has two meanings: as given to ``Polynomial(coeffs)``, or
+``Fraction``s made from the integers on first read and kept.
 
 These signs are what the oracle answers.  Ground truth for labels does not
 come from here: ``instances.true_labels`` reads it off the hidden

@@ -43,6 +43,7 @@ from util import (
     infer_at,
     ks_statistic_discrete,
     pattern_block,
+    query_sandwich,
     reference_signs,
     z_law_cdf_grid,
     z_law_mean,
@@ -54,33 +55,6 @@ DELTA = 1e-3  # false-alarm rate of criterion 7's KS checks, all cells together
 def criterion(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num} ({name}): {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def query_sandwich(level_signs: dict, n: int) -> tuple[int, int]:
-    """Least and most queries the iterative learner spends, given its level signs.
-
-    A level's segments are the maximal runs on which every higher level's
-    sign is constant.  A segment lo..hi costs 1 query if lo = hi, and 2 if
-    its endpoint signs agree; otherwise 2 plus a binary search over hi - lo,
-    which takes between floor(log2(hi - lo)) and ceil(log2(hi - lo)) probes.
-    """
-    least = most = 0
-    changes = np.zeros(max(n - 1, 0), dtype=bool)
-    for order in sorted(level_signs, reverse=True):
-        signs = level_signs[order]
-        lo = 0
-        for hi in np.flatnonzero(changes).tolist() + [n - 1]:
-            if lo == hi:
-                least, most = least + 1, most + 1
-            elif signs[lo] == signs[hi]:
-                least, most = least + 2, most + 2
-            else:
-                span = hi - lo
-                least += 2 + span.bit_length() - 1  # floor(log2 span)
-                most += 2 + (span - 1).bit_length()  # ceil(log2 span)
-            lo = hi + 1
-        changes |= signs[1:] != signs[:-1]
-    return least, most
 
 
 def rows(learner, d, n, trials, seed, backend="float", **kw) -> list[dict]:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ptf_lab import harness
 from ptf_lab.batch import BatchParams, infer_labels, learn_all
-from ptf_lab.distributions import trial_rng
+from ptf_lab.distributions import random_instance, trial_rng
 from ptf_lab.instances import true_labels
 from ptf_lab.oracle import Oracle
 
@@ -246,6 +247,100 @@ class TestLearnAll:
             with pytest.raises(ValueError, match="needs orders 0..d-1"):
                 learn_all(inst, oracle, BatchParams(d=3, n=64, alpha=0.5), trial_rng(0))
             assert oracle.queries == 0
+
+
+class BlockRecordingOracle(Oracle):
+    """An oracle that keeps the points, orders and answers of every block it is asked."""
+
+    def __init__(self, hidden, d, **kw):
+        super().__init__(hidden, d, **kw)
+        self.blocks = []
+
+    def query_batch(self, xs, orders):
+        answers = super().query_batch(xs, orders)
+        self.blocks.append((np.asarray(xs), list(orders), answers))
+        return answers
+
+
+def check_coverage_blocks(config, trial, blocks) -> None:
+    """Assert that a batch trial's blocks are the ones its stream implies.
+
+    The trial's stream is replayed: ``random_instance``, then one
+    ``rng.integers(0, len(unknown), size=m)`` per loop block, where unknown
+    holds the points still unlabelled at the start of the outer iteration.
+    An outer iteration ends at the first block whose patterns let the
+    reference sandwich rule (``restricted_infer``) label a share of the
+    other unknown points of at least the coverage threshold; the points it
+    asked and labelled are then known.  The final block asks exactly the
+    points left unknown, and no block follows it.
+    """
+    row = trial.row
+    d, n = row["d"], row["n"]
+    params = BatchParams(d=d, n=n, alpha=row["alpha"])
+    rng = trial_rng(config.master_seed, row["seed_stream"])
+    inst = random_instance(
+        n, config.root_model(d), rng, backend=config.backend, random_leading=config.random_leading
+    )
+    points = inst.points
+    assert np.array_equal(points, trial.instance.points), "replay draws other points"
+    unknown = np.arange(n)  # positions unlabelled at the start of the outer iteration
+    left = iter(blocks)
+    iterations = 0
+    for _ in range(params.t):
+        if len(unknown) <= params.m:
+            break
+        iterations += 1
+        while True:
+            xs, orders, answers = next(left)
+            asked = np.searchsorted(points, xs)
+            assert orders == list(range(d))
+            assert np.array_equal(points[asked], xs) and np.all(np.diff(asked) > 0)
+            assert np.all(np.isin(asked, unknown)), "a loop block asks a known point"
+            drawn = np.unique(rng.integers(0, len(unknown), size=params.m))
+            assert np.array_equal(asked, unknown[drawn]), "a loop block is not its draw"
+            targets = np.setdiff1d(unknown, asked)
+            queried = list(zip(xs.tolist(), answers.T.tolist()))
+            hits = restricted_infer(queried, points[targets].tolist())
+            labelled = targets[[i for i, _ in hits]]
+            cover = 1.0 if len(targets) == 0 else len(hits) / len(targets)
+            if cover >= params.coverage_threshold:
+                break
+        unknown = np.setdiff1d(targets, labelled)
+    if len(unknown):
+        xs, orders, _ = next(left)
+        assert orders == list(range(d))
+        assert np.array_equal(xs, points[unknown]), "the final block is not the unknown points"
+    assert next(left, None) is None, "a block follows the final one"
+    assert row["queries_total"] == d * sum(len(xs) for xs, _, _ in blocks)
+    assert row["rounds"] == len(blocks)
+    assert row["iterations"] == iterations <= params.t
+    assert row["final_round"] == bool(len(unknown))
+    assert row["correct"], row
+
+
+# (d, n, batch alpha, trials): m < n, so the coverage loop runs; the last
+# cell's trials take two outer iterations
+COVERAGE_CELLS = [(d, 2**14, 0.5, 3) for d in range(1, 7)] + [(2, 2**16, 0.25, 3)]
+
+
+def test_coverage_loop_blocks_are_their_draws(monkeypatch):
+    oracles = []
+
+    def recording(hidden, d, **kw):
+        oracles.append(BlockRecordingOracle(hidden, d, **kw))
+        return oracles[-1]
+
+    monkeypatch.setattr(harness, "Oracle", recording)
+    iterations = []
+    for d, n, alpha, trials in COVERAGE_CELLS:
+        assert BatchParams(d=d, n=n, alpha=alpha).m < n
+        config = harness.ExperimentConfig(harness.BATCH, (d,), (n,), trials, 23, alphas=(alpha,))
+        for stream in range(trials):
+            trial = harness.run_trial(config, config.cells()[0], stream)
+            assert trial.result is not None, trial.row["case"]
+            check_coverage_blocks(config, trial, oracles[-1].blocks)
+            iterations.append(trial.row["iterations"])
+    assert max(iterations) >= 2, iterations
 
 
 class TestLogScaling:

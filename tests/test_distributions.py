@@ -9,6 +9,7 @@ import pytest
 from ptf_lab.distributions import (
     DIRICHLET,
     EXACT,
+    FLOAT,
     UNIFORM,
     RootModel,
     dirichlet_gaps,
@@ -45,7 +46,7 @@ class TestUniformPoints:
         for stream in range(20):
             exact_rng, float_rng = trial_rng(5, stream), trial_rng(5, stream)
             exact = random_instance(500, model, exact_rng, backend=EXACT)
-            flt = random_instance(500, model, float_rng)
+            flt = random_instance(500, model, float_rng, backend=FLOAT)
             assert np.array_equal(exact.points, flt.points)
             assert all(type(r) is float for r in flt.roots)
             assert exact.roots == tuple(Fraction(r) for r in flt.roots)
@@ -119,7 +120,7 @@ ROOT_SCRIPTS = {
 def test_float_uniform_roots_redraw_repeats_and_zeros(name):
     # every scripted draw is rejected; the first unscripted one is kept, sorted
     rng = ScriptedDraws(9, ROOT_SCRIPTS[name])
-    roots = sample_roots(RootModel(3), rng)
+    roots = sample_roots(RootModel(3), rng, backend=FLOAT)
     assert rng.calls == len(ROOT_SCRIPTS[name]) + 1
     assert roots == sorted(np.random.default_rng(9).random(3).tolist())
     assert 0 < roots[0] < roots[1] < roots[2] < 1
@@ -279,11 +280,19 @@ class TestEntropyBounds:
         expected = math.log2(math.comb(n + d, d))
         assert dirichlet_multinomial_entropy(n, d, 1.0) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("alpha", [0.005, 0.1, 0.5, 1.0, 2.0, 144.0])
-    @pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (40, 1), (40, 2), (40, 3), (3, 5), (20, 5)])
+    @pytest.mark.parametrize(
+        "n, d, alpha",
+        [
+            (n, d, alpha)
+            for alpha in (0.005, 0.1, 0.5, 1.0, 2.0, 144.0)
+            for n, d in ((1, 1), (2, 1), (40, 1), (40, 2), (40, 3), (3, 5), (20, 5))
+        ]
+        # large alpha, where lgamma differences would cancel
+        + [(n, d, alpha) for alpha in (1e4, 1e6) for n, d in ((5, 6), (40, 3))],
+    )
     def test_dirichlet_multinomial_matches_enumeration(self, n, d, alpha):
         want = dirichlet_multinomial_entropy_by_enumeration(n, d, alpha)
-        assert dirichlet_multinomial_entropy(n, d, alpha) == pytest.approx(want, rel=1e-9)
+        assert dirichlet_multinomial_entropy(n, d, alpha) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize(
         "n, d", [(n, d) for n in (1, 20, 4096, 2**16) for d in (1, 4, 8)] + [(10**6, 5)]

@@ -16,6 +16,7 @@ import pytest
 from ptf_lab import batch, cli, harness, iterative
 from ptf_lab.distributions import (
     EXACT,
+    FLOAT,
     RootModel,
     entropy_lower_bound_uniform,
     random_instance,
@@ -382,7 +383,15 @@ class TestRunExamples:
     )
     @pytest.mark.parametrize("learner", [harness.ITERATIVE, harness.SAMPLE_SEARCH])
     def test_high_degree_float_rows_are_correct(self, learner):
-        rows = run(ExperimentConfig(learner, (20, 24), (1024,), 3, 3)).rows
+        rows = run(ExperimentConfig(learner, (20, 24), (1024,), 3, 3, backend=FLOAT)).rows
+        assert [row["correct"] for row in rows] == [True] * 6
+
+    @pytest.mark.parametrize("learner", [harness.ITERATIVE, harness.SAMPLE_SEARCH, harness.BATCH])
+    def test_high_degree_rows_are_correct(self, learner):
+        # the default draws are exact, so the hidden polynomial changes sign
+        # at its listed roots at every degree; float draws mislabel here
+        alphas = (0.5,) if learner == harness.BATCH else ()
+        rows = run(ExperimentConfig(learner, (20, 24), (1024,), 3, 3, alphas=alphas)).rows
         assert [row["correct"] for row in rows] == [True] * 6
 
     def test_sample_search_mean_z_monotone_and_sublinear(self):
@@ -565,6 +574,17 @@ class TestCli:
         assert code == 0
         assert out.exists()
         assert json.loads(capsys.readouterr().out.splitlines()[0])["all_correct"]
+
+    def test_draws_are_exact_with_no_backend_flag(self, tmp_path, capsys):
+        # the float draw mode is for callers that name it; the command line draws exactly
+        args = ["run", "--learner", "iterative", "--d", "2", "--n", "8", "--trials", "2"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--backend", "exact"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend exact" in capsys.readouterr().err
+        out = tmp_path / "exact.csv"
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert [row["backend"] for row in read_csv(out)] == ["exact", "exact"]
 
     def test_dirichlet_alpha_alone_picks_dirichlet_roots(self, tmp_path, capsys):
         out = tmp_path / "dir.csv"

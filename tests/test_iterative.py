@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ptf_lab import harness
 from ptf_lab.distributions import EXACT, FLOAT, RootModel, random_instance, trial_rng
 from ptf_lab.instances import Instance, true_labels
 from ptf_lab.iterative import learn_all, query_bound, segment_bound
 from ptf_lab.oracle import Oracle
 from ptf_lab.polynomial import Polynomial, from_roots
 
-from util import full_oracle, label_oracle, make_instance, true_signs
+from util import full_oracle, label_oracle, make_instance, query_sandwich, true_signs
 
 F = Fraction
 
@@ -185,3 +188,34 @@ class TestLearnAll:
                     assert len(set(oracle.asked)) == len(oracle.asked), (model, n, seed)
                     assert len(oracle.asked) == oracle.queries <= query_bound(d, n)
                     assert np.array_equal(res.labels, true_labels(inst))
+
+
+@given(
+    master=st.integers(0, 2**32 - 1),
+    stream=st.integers(0, 2**16),
+    d=st.integers(1, 12),
+    n=st.integers(1, 2**12),
+    alpha=st.one_of(st.none(), st.floats(0.05, 4)),
+    random_leading=st.booleans(),
+)
+# the float draw mode mislabels these three trials, so the draws must be exact
+@example(master=3, stream=3, d=16, n=1024, alpha=None, random_leading=False)
+@example(master=3, stream=0, d=20, n=1024, alpha=None, random_leading=False)
+@example(master=3, stream=0, d=24, n=1024, alpha=None, random_leading=False)
+@example(master=0, stream=0, d=1, n=1, alpha=None, random_leading=False)
+@example(master=1, stream=2, d=5, n=2, alpha=0.05, random_leading=True)
+@example(master=2, stream=7, d=1, n=4096, alpha=None, random_leading=True)
+@settings(max_examples=150, deadline=None)
+def test_trials_keep_their_accounting(master, stream, d, n, alpha, random_leading):
+    # one trial of every configuration the harness takes for iterative, on default draws
+    config = harness.ExperimentConfig(
+        harness.ITERATIVE, (d,), (n,), 1, master,
+        dirichlet_alpha=alpha, random_leading=random_leading,
+    )
+    trial = harness.run_trial(config, config.cells()[0], stream)
+    row = trial.row
+    assert trial.result is not None, row["case"]
+    assert row["correct"], row
+    least, most = query_sandwich(trial.result.level_signs, n)
+    assert least <= row["queries_total"] <= min(most, query_bound(d, n)), (row, least, most)
+    assert row["rounds"] == row["queries_total"]

@@ -12,7 +12,7 @@ import numpy as np
 
 from ptf_lab.adversarial import Witness
 from ptf_lab.batch import infer_labels
-from ptf_lab.distributions import RootModel, random_instance, trial_rng
+from ptf_lab.distributions import EXACT, RootModel, random_instance, trial_rng
 from ptf_lab.instances import Instance, true_labels
 from ptf_lab.oracle import Oracle
 from ptf_lab.iterative import find_flip
@@ -25,7 +25,7 @@ def pattern_block(p: Polynomial, xs, d: int) -> np.ndarray:
     return eval_sign_block([p.derivative(o) for o in range(d)], xs)
 
 
-def make_instance(n, d, seed, backend="float"):
+def make_instance(n, d, seed, backend=EXACT):
     return random_instance(n, RootModel(d), trial_rng(seed), backend=backend)
 
 
@@ -77,22 +77,29 @@ def z_law_mean(n: int, d: int) -> float:
 
 def dirichlet_multinomial_entropy_by_enumeration(n: int, d: int, alpha: float) -> float:
     """Reference for ``distributions.dirichlet_multinomial_entropy``: the entropy
-    (bits) summed over all C(n+d, d) count vectors of the Dirichlet-multinomial pmf."""
+    (bits) summed over all C(n+d, d) count vectors of the Dirichlet-multinomial pmf.
+
+    With k = d+1 and rising factorials (x)_c, log p(C) = log n! - log (k alpha)_n
+    + sum_i (log (alpha)_{C_i} - log C_i!).  Each term comes from a per-count
+    table, log (alpha)_c = sum over j < c of log(alpha + j), and log c!, and
+    each log-probability is one ``math.fsum``: lgamma differences would
+    cancel at large alpha.
+    """
     k = d + 1
-    lg = math.lgamma
-    base = lg(n + 1) + lg(k * alpha) - lg(n + k * alpha) - k * lg(alpha)
-    entropy_nats = 0.0
-    total_p = 0.0
+    rising = [math.fsum(math.log(alpha + j) for j in range(c)) for c in range(n + 1)]
+    log_fact = [math.fsum(math.log(j) for j in range(1, c + 1)) for c in range(n + 1)]
+    base = [log_fact[n], -math.fsum(math.log(k * alpha + j) for j in range(n))]
+    terms, total = [], []
     # the k-1 bars of each stars-and-bars string of n stars cut out one count vector
     for bars in itertools.combinations(range(n + k - 1), k - 1):
         edges = (-1, *bars, n + k - 1)
         counts = [b - a - 1 for a, b in zip(edges, edges[1:])]
-        logp = base + sum(lg(c + alpha) - lg(c + 1) for c in counts)
+        logp = math.fsum(base + [rising[c] for c in counts] + [-log_fact[c] for c in counts])
         p = math.exp(logp)
-        total_p += p
-        entropy_nats -= p * logp
-    assert abs(total_p - 1.0) < 1e-9, "pmf must sum to 1"
-    return entropy_nats / math.log(2)
+        total.append(p)
+        terms.append(-p * logp)
+    assert abs(math.fsum(total) - 1.0) < 1e-12, "pmf must sum to 1"
+    return math.fsum(terms) / math.log(2)
 
 
 def ks_statistic_discrete(sample, cdf: np.ndarray) -> float:
@@ -219,6 +226,33 @@ def reference_sample_and_search(instance, oracle, d_roots, rng) -> AvgCaseResult
         prev = b + 1
     labels[prev:] = sign
     return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case="b", flips=flips)
+
+
+def query_sandwich(level_signs: dict, n: int) -> tuple[int, int]:
+    """Least and most queries the iterative learner spends, given its level signs.
+
+    A level's segments are the maximal runs on which every higher level's
+    sign is constant.  A segment lo..hi costs 1 query if lo = hi, and 2 if
+    its endpoint signs agree; otherwise 2 plus a binary search over hi - lo,
+    which takes between floor(log2(hi - lo)) and ceil(log2(hi - lo)) probes.
+    """
+    least = most = 0
+    changes = np.zeros(max(n - 1, 0), dtype=bool)
+    for order in sorted(level_signs, reverse=True):
+        signs = level_signs[order]
+        lo = 0
+        for hi in np.flatnonzero(changes).tolist() + [n - 1]:
+            if lo == hi:
+                least, most = least + 1, most + 1
+            elif signs[lo] == signs[hi]:
+                least, most = least + 2, most + 2
+            else:
+                span = hi - lo
+                least += 2 + span.bit_length() - 1  # floor(log2 span)
+                most += 2 + (span - 1).bit_length()  # ceil(log2 span)
+            lo = hi + 1
+        changes |= signs[1:] != signs[:-1]
+    return least, most
 
 
 def check_sample_search_accounting(config, trial) -> None:
