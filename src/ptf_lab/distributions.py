@@ -17,10 +17,12 @@ rounded coefficients of a float64 expansion (``FLOAT``), which need not
 change sign at those roots.  The float expansion serves only callers that
 name ``FLOAT``.  Signs are evaluated exactly either way.
 
-The entropy floors are entropies of the count vector, how many points fall in
-each of the d+1 gaps: log2 C(n+d, d) for uniform roots, and for Dirichlet gaps
-the O(n) sum of ``dirichlet_multinomial_entropy``.  A learner must pay a floor
-only where its labels determine the counts, i.e. where no interior gap is empty.
+The entropy floor is one function, ``dirichlet_multinomial_entropy``: the
+entropy of the count vector, how many points fall in each of the d+1 gaps, as
+an O(n) sum.  i.i.d. uniform roots have Dirichlet(1) gaps, so they are its
+alpha = 1, where every count vector is equally likely and it equals
+log2 C(n+d, d).  A learner must pay the floor only where its labels determine
+the counts, i.e. where no interior gap is empty.
 """
 
 from __future__ import annotations
@@ -134,14 +136,6 @@ def random_instance(
     hidden = from_roots(roots, leading=leading)
     points = uniform_points(n, rng)
     return Instance(points=points, hidden=hidden, d=model.d, roots=roots)
-
-
-def entropy_lower_bound_uniform(n: int, d: int) -> float:
-    """log2 C(n+d, d): bits needed to pin down which of the equally likely
-    labelings occurred when points and roots are exchangeable uniforms."""
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be at least 1")
-    return math.log2(math.comb(n + d, d))
 
 
 def dirichlet_multinomial_entropy(n: int, d: int, alpha: float) -> float:

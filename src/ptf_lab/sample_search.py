@@ -15,10 +15,12 @@ One ``bisect_left`` on those ends places a probe inside a run, between two
 runs (it joins the one whose sign it has) or past an end (a different sign
 opens a new run: 1 flip).  Only a different sign inside a run (2 flips)
 needs the run's probes: its nearest probes on either side are looked up in
-the probe order's prefix.  Phase 2 brackets each flip by the last probe of
-one run and the first probe of the next.  Probes are read one Python scalar
-at a time (``.item``), so no numpy scalar is made per probe.  Phase 2's
-query count is the oracle's, taken before and after.
+the probe order's prefix.  Phase 2, one pass for both cases, brackets each
+flip by the last probe of one run and the first probe of the next; in case
+"a" every point is a probe, so each bracket is two adjacent probes and its
+search asks nothing.  Probes are read one Python scalar at a time
+(``.item``), so no numpy scalar is made per probe.  Phase 2's query count is
+the oracle's, taken before and after.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ class AvgCaseResult:
     ``flips`` is the number of runs of equal sign among the z probes, read
     in x order, less one.  In case "b" it equals the promised root count,
     and ``search_queries`` are the binary searches between each run's last
-    probe and the next run's first; in case "a" the runs are the labels.
+    probe and the next run's first; in case "a" those probes are adjacent,
+    so ``search_queries`` is 0.
     """
 
     labels: np.ndarray
@@ -121,23 +124,19 @@ def sample_and_search(
             z, case = k + 1, "b"
             break
 
-    labels = np.zeros(n, dtype=np.int8)
-    if case == "a":
-        for j, s in enumerate(run_signs):
-            labels[ends[2 * j] : ends[2 * j + 1] + 1] = s
-        return AvgCaseResult(labels=labels, z=z, search_queries=0, case="a", flips=flips)
-
     def ask(i: int) -> int:
         return query(point(i), 0)
 
     # locate each flip boundary among the points strictly between the last
-    # probe of run j and the first probe of run j+1
+    # probe of run j and the first probe of run j+1; in case "a" every point
+    # is a probe, so those two are adjacent and find_flip asks nothing
     before = oracle.queries
     boundaries = [
         find_flip(ask, ends[2 * j + 1], ends[2 * j + 2], run_signs[j]) for j in range(flips)
     ]
     search_queries = oracle.queries - before
 
+    labels = np.zeros(n, dtype=np.int8)
     sign = run_signs[0]
     prev = 0
     for b in boundaries:
@@ -145,4 +144,4 @@ def sample_and_search(
         sign = -sign
         prev = b + 1
     labels[prev:] = sign
-    return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case="b", flips=flips)
+    return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case=case, flips=flips)

@@ -23,8 +23,9 @@ in the accounting sandwich its own level signs imply (``query_sandwich``),
 and on the n = 2^8 cells those signs must equal the exact reference signs.
 
 The fixtures are harness trials: rows of ``harness.run``, or ``run_trial`` where
-a criterion reads level signs.  Each cell is a one-cell config, so its stream t
-is ``trial_rng(seed, t)``.  Criteria 5, 6 and 11 are not sweeps.
+a criterion reads level signs or replays a sample_search trial's accounting.
+Each cell is a one-cell config, so its stream t is ``trial_rng(seed, t)``.
+Criteria 5, 6 and 11 are not sweeps.
 """
 
 import math
@@ -34,11 +35,13 @@ import pytest
 
 from ptf_lab import batch, iterative
 from ptf_lab.distributions import RootModel, random_instance, trial_rng
+from ptf_lab.distributions import dirichlet_multinomial_entropy
 from ptf_lab.harness import BATCH, ITERATIVE, SAMPLE_SEARCH, ExperimentConfig, run, run_trial
-from ptf_lab.harness import entropy_floors, verify_lower_bounds
+from ptf_lab.harness import verify_lower_bounds
 from ptf_lab.oracle import Oracle
 
 from util import (
+    check_sample_search_accounting,
     dkw_radius,
     infer_at,
     ks_statistic_discrete,
@@ -64,6 +67,25 @@ def rows(learner, d, n, trials, seed, backend="float", **kw) -> list[dict]:
 def sample_search_rows(d, n, trials, seed, alpha=None, backend="float") -> list[dict]:
     """Uniform roots if alpha is None, else Dirichlet(alpha) root gaps."""
     return rows(SAMPLE_SEARCH, d, n, trials, seed, backend, dirichlet_alpha=alpha)
+
+
+def sample_search_trials(d, n, trials, seed, alpha=None, backend="float") -> list[dict]:
+    """``sample_search_rows``, each made by ``run_trial`` and replayed by
+    ``check_sample_search_accounting``; ``accounting`` holds what the replay
+    found wrong, or None."""
+    config = ExperimentConfig(
+        SAMPLE_SEARCH, (d,), (n,), trials, seed, backend=backend, dirichlet_alpha=alpha
+    )
+    out = []
+    for t in range(trials):
+        trial = run_trial(config, config.cells()[0], t)
+        fault = None
+        try:
+            check_sample_search_accounting(config, trial)
+        except Exception as exc:  # a trial that raised has no result to replay
+            fault = f"d={d} n={n} stream {t}: {exc!r}"
+        out.append(dict(trial.row, accounting=fault))
+    return out
 
 
 def iterative_rows(d, n, trials, seed, backend="float") -> list[dict]:
@@ -114,8 +136,8 @@ def sample_search_c1():
     seed = 13_000
     for d in range(1, 6):
         for alpha in (None, 1.0, 2.0):
-            records += sample_search_rows(d, 2**8, 34, seed, alpha, "exact")
-            records += sample_search_rows(d, 2**12, 34, seed + 1, alpha)
+            records += sample_search_trials(d, 2**8, 34, seed, alpha, "exact")
+            records += sample_search_trials(d, 2**12, 34, seed + 1, alpha)
             seed += 2
     return records
 
@@ -162,12 +184,15 @@ def test_criterion_1_perfect_labeling(iterative_c1, batch_c1, sample_search_c1):
     }
     errors = {name: sum(not r["correct"] for r in recs) for name, recs in groups.items()}
     counts = {name: len(recs) for name, recs in groups.items()}
+    # every sample_search trial's counts are what its own stream implies
+    faults = [r["accounting"] for r in sample_search_c1 if r["accounting"]]
     ok = all(v == 0 for v in errors.values()) and all(v >= 1000 for v in counts.values())
     criterion(
         1,
         "perfect labeling",
-        ok,
-        f"label errors {errors} over trials {counts}",
+        ok and not faults,
+        f"label errors {errors} over trials {counts}; "
+        f"{len(faults)} sample_search accounting faults {faults[:3] or ''}",
     )
 
 
@@ -313,15 +338,12 @@ def test_criterion_8_dirichlet_regimes(avg_cells):
 
 
 def test_criterion_9_entropy_floor(avg_cells):
-    # each cell against the entropy of its own count law (harness.entropy_floors)
+    # each cell against the entropy of its own count law; uniform roots are alpha = 1
     violations = []
     for (model, alpha, d, n), recs in avg_cells.items():
         mean, se = mean_se([r["queries_total"] for r in recs])
-        violations += [
-            (model, alpha, d, n, kind)
-            for kind, f in entropy_floors(model, alpha, n, d).items()
-            if mean < f - 3 * se
-        ]
+        if mean < dirichlet_multinomial_entropy(n, d, alpha or 1.0) - 3 * se:
+            violations.append((model, alpha, d, n))
     criterion(
         9,
         "entropy floor",

@@ -318,9 +318,13 @@ def check_coverage_blocks(config, trial, blocks) -> None:
     assert row["correct"], row
 
 
-# (d, n, batch alpha, trials): m < n, so the coverage loop runs; the last
-# cell's trials take two outer iterations
-COVERAGE_CELLS = [(d, 2**14, 0.5, 3) for d in range(1, 7)] + [(2, 2**16, 0.25, 3)]
+# (d, n, batch alpha, trials): m < n, so the coverage loop runs; the
+# n = 2^16 cell's trials take two outer iterations
+COVERAGE_CELLS = (
+    [(d, 2**14, 0.5, 3) for d in range(1, 7)]
+    + [(2, 2**16, 0.25, 3)]
+    + [(d, 2**14, 0.35, 3) for d in (8, 12)]  # m = 4,479 and 9,495
+)
 
 
 def test_coverage_loop_blocks_are_their_draws(monkeypatch):

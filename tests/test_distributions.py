@@ -14,7 +14,6 @@ from ptf_lab.distributions import (
     RootModel,
     dirichlet_gaps,
     dirichlet_multinomial_entropy,
-    entropy_lower_bound_uniform,
     random_instance,
     sample_roots,
     trial_rng,
@@ -261,14 +260,15 @@ class TestRootModels:
 
 
 class TestEntropyBounds:
+    # uniform roots have Dirichlet(1) gaps, so their floor is alpha = 1's
     def test_small_binomials(self):
-        assert entropy_lower_bound_uniform(3, 1) == pytest.approx(2.0)
-        assert entropy_lower_bound_uniform(10, 2) == pytest.approx(math.log2(66), abs=1e-9)
+        assert dirichlet_multinomial_entropy(3, 1, 1.0) == pytest.approx(2.0)
+        assert dirichlet_multinomial_entropy(10, 2, 1.0) == pytest.approx(math.log2(66), abs=1e-9)
 
     def test_hand_checkable_lower_bound(self):
         for n, d in [(10, 1), (100, 3), (10**6, 5), (50, 7)]:
             bound = d * math.log2(n / d) - d * math.log2(math.e)
-            assert entropy_lower_bound_uniform(n, d) >= bound
+            assert dirichlet_multinomial_entropy(n, d, 1.0) >= bound
 
     def test_dirichlet_multinomial_tiny_cases(self):
         assert dirichlet_multinomial_entropy(1, 1, 1.0) == pytest.approx(1.0)
@@ -300,7 +300,7 @@ class TestEntropyBounds:
     def test_flat_dirichlet_multinomial_is_the_closed_form(self, n, d):
         # C(n+d, d) = prod over i = 1..d of (n+i)/i
         product = sum(math.log2((n + i) / i) for i in range(1, d + 1))
-        want = entropy_lower_bound_uniform(n, d)
+        want = math.log2(math.comb(n + d, d))
         assert want == pytest.approx(product, rel=1e-12)
         assert dirichlet_multinomial_entropy(n, d, 1.0) == pytest.approx(want, rel=1e-12)
 

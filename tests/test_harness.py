@@ -18,7 +18,7 @@ from ptf_lab.distributions import (
     EXACT,
     FLOAT,
     RootModel,
-    entropy_lower_bound_uniform,
+    dirichlet_multinomial_entropy,
     random_instance,
     trial_rng,
 )
@@ -26,7 +26,6 @@ from ptf_lab.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     compare_entropy,
-    entropy_floors,
     print_bounds,
     run,
 )
@@ -459,16 +458,19 @@ class TestCompareEntropy:
 
     def test_violation_lists_cell(self, tmp_path):
         path = tmp_path / "bad.json"
-        self._write_agg(path, mean=1.0, stderr=0.1)  # floor is ~6.66 bits
+        self._write_agg(path, mean=1.0, stderr=0.1)
         report = compare_entropy([path])
         assert len(report) == 1 and report[0]["n"] == 100 and report[0]["d"] == 1
         assert not report[0]["ok"]
+        # a uniform cell is held to alpha = 1's floor, log2 C(101, 1)
+        assert report[0]["floor"] == pytest.approx(math.log2(101), rel=1e-12)
 
     def test_dirichlet_small_cell_checks_exact_entropy(self, tmp_path):
         path = tmp_path / "dir.json"
         self._write_agg(path, mean=30.0, stderr=0.5, n=20, d=2, model="dirichlet", alpha=2.0)
-        report = compare_entropy([path])
-        assert set(report[0]["bounds"]) == {"dirichlet_exact"}
+        (entry,) = compare_entropy([path])
+        assert "bounds" not in entry
+        assert entry["floor"] == pytest.approx(dirichlet_multinomial_entropy(20, 2, 2.0), rel=1e-12)
 
     def test_dirichlet_large_cell_checks_exact_entropy(self, tmp_path):
         # C(2^16 + 8, 8) count vectors, far too many to enumerate
@@ -478,19 +480,23 @@ class TestCompareEntropy:
         )
         (entry,) = compare_entropy([path])
         assert entry["ok"]
-        assert entry["bounds"] == {"dirichlet_exact": pytest.approx(110.1838, abs=1e-4)}
+        assert entry["floor"] == pytest.approx(110.1838, abs=1e-4)
 
-    def test_entropy_floors_gives_every_cell_one_floor(self):
+    def test_every_cell_gets_one_floor(self, tmp_path):
         # criterion 8's Dirichlet cells (d = 4, n = 2^12) among them
         cases = [("uniform", "")] + [("dirichlet", a) for a in (0.005, 0.1, 0.5, 1.0, 2.0, 144.0)]
         for model, alpha in cases:
-            kind = "dirichlet_exact" if model == "dirichlet" and alpha != 1 else "uniform_floor"
             for d in (1, 4, 8):
                 for n in (1, 20, 2**12, 2**16):
-                    floors = entropy_floors(model, alpha, n, d)
-                    assert list(floors) == [kind], (model, alpha, n, d)
+                    path = tmp_path / "cell.json"
+                    self._write_agg(path, mean=0.0, stderr=0.0, n=n, d=d, model=model, alpha=alpha)
+                    (entry,) = compare_entropy([path])
+                    floor = entry["floor"]
+                    assert isinstance(floor, float) and "bounds" not in entry
+                    want = dirichlet_multinomial_entropy(n, d, alpha or 1.0)
+                    assert floor == pytest.approx(want, rel=1e-12), (model, alpha, n, d)
                     # no law on the C(n+d, d) count vectors has more entropy than the flat one
-                    assert 0 < floors[kind] <= entropy_lower_bound_uniform(n, d) * (1 + 1e-12)
+                    assert 0 < floor <= math.log2(math.comb(n + d, d)) * (1 + 1e-12)
 
     def test_dirichlet_cell_is_held_to_its_own_entropy(self, tmp_path):
         # 7.7 clears the Dir(2) entropy 7.641 but not log2 C(22, 2) = 7.852,
@@ -499,7 +505,7 @@ class TestCompareEntropy:
         self._write_agg(path, mean=7.7, stderr=0.0, n=20, d=2, model="dirichlet", alpha=2.0)
         (entry,) = compare_entropy([path])
         assert entry["ok"]
-        assert entry["bounds"] == {"dirichlet_exact": pytest.approx(7.641, abs=1e-3)}
+        assert entry["floor"] == pytest.approx(7.641, abs=1e-3)
 
     def test_flat_dirichlet_cell_gets_the_uniform_floor(self, tmp_path):
         # alpha = 1 is the uniform count law: one floor, log2 C(22, 2)
@@ -507,7 +513,7 @@ class TestCompareEntropy:
         self._write_agg(path, mean=7.7, stderr=0.0, n=20, d=2, model="dirichlet", alpha=1.0)
         (entry,) = compare_entropy([path])
         assert not entry["ok"]
-        assert entry["bounds"] == {"uniform_floor": pytest.approx(math.log2(231))}
+        assert entry["floor"] == pytest.approx(math.log2(231))
 
 
 def dictwriter_outputs(result, out_csv):
@@ -585,6 +591,17 @@ class TestCli:
         out = tmp_path / "exact.csv"
         assert cli.main(args + ["--out", str(out)]) == 0
         assert [row["backend"] for row in read_csv(out)] == ["exact", "exact"]
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # numpy's SeedSequence would raise inside the first trial, with a traceback
+        args = ["run", "--learner", "iterative", "--d", "2", "--n", "8", "--trials", "1"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args + ["--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "ptf-lab run: error: seed must be a non-negative integer, not -1" in err
+        with pytest.raises(ValueError, match="non-negative integer, not 2.0"):
+            ExperimentConfig(harness.ITERATIVE, (2,), (8,), 1, 2.0)
 
     def test_dirichlet_alpha_alone_picks_dirichlet_roots(self, tmp_path, capsys):
         out = tmp_path / "dir.csv"

@@ -285,7 +285,7 @@ def check_sample_search_accounting(config, trial) -> None:
     assert np.array_equal(result.labels, signs), "labels are not the hidden signs"
     assert row["correct"] == bool(np.array_equal(signs, true_labels(inst)))
     search = row["queries_total"] - row["z"]
-    assert search == result.search_queries
+    assert search == result.search_queries, (row, result.search_queries)
     if flips(n) < d:
         assert (row["case"], row["z"], search) == ("a", n, 0), row
         return
