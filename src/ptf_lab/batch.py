@@ -1,10 +1,11 @@
 """Randomized batch learner with the restricted monotone inference rule.
 
-Each outer iteration repeatedly samples a batch of m points (with
-replacement), queries their full sign patterns in one round, and stops once
-the batch's patterns cover enough of the still-unknown points.  A point is
-inferred exactly when it is sandwiched between two adjacent queried points
-with identical full sign patterns: such a stretch is monotone with equal
+The learner takes alpha; d and n come from the instance.  Each outer
+iteration repeatedly samples a batch of m points (with replacement),
+queries their full sign patterns in one round, and stops once the batch's
+patterns cover enough of the still-unknown points.  A point is inferred
+exactly when it is sandwiched between two adjacent queried points with
+identical full sign patterns: such a stretch is monotone with equal
 endpoint labels, so the inferred label is always correct.  Once few enough
 points remain they are queried exhaustively in a single final round.
 
@@ -120,17 +121,17 @@ class BatchResult:
 
 
 def learn_all(
-    instance: Instance, oracle: Oracle, params: BatchParams, rng: np.random.Generator
+    instance: Instance, oracle: Oracle, alpha: float, rng: np.random.Generator
 ) -> BatchResult:
     """Label every point using batched pattern queries plus restricted inference.
 
+    d and n come from the instance, m and t from ``BatchParams(d, n, alpha)``.
     Requires a full oracle (orders 0..d-1).
     """
     d, n = instance.d, instance.n
     if oracle.orders != d:
         raise ValueError("batch learner needs orders 0..d-1")
-    if params.d != d or params.n != n:
-        raise ValueError("params do not match the instance")
+    params = BatchParams(d, n, alpha)
     m, t, threshold = params.m, params.t, params.coverage_threshold
     guard = _LOOP_GUARD_FACTOR * 2
     orders = range(d)

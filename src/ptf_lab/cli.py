@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--alpha", type=_float_list, default=(),
                        help="comma list of batch exponents (batch learner)")
     p_run.add_argument("--dirichlet-alpha", type=float, default=None, metavar="A",
-                       help="draw the d+1 root gaps from a symmetric Dirichlet(A), A > 0; "
-                       "without it the d roots are i.i.d. uniform")
+                       help="draw the d+1 root gaps from a symmetric Dirichlet(A), "
+                       "A >= (41 + log2(d+1)) / 1075; without it the d roots are i.i.d. uniform")
     p_run.add_argument("--trials", type=int, default=100)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--random-leading", action="store_true",
@@ -99,7 +99,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "compare-entropy":
-        report = harness.compare_entropy(args.results)
+        try:
+            report = harness.compare_entropy(args.results)
+        except (OSError, ValueError) as exc:  # a missing or unreadable file, or no cell
+            print(f"ptf-lab compare-entropy: error: {exc}", file=sys.stderr)
+            return 2
         bad = [r for r in report if not r["ok"]]
         for entry in report:
             print(json.dumps(entry))

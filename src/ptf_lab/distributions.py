@@ -1,8 +1,8 @@
 """Random instance generation and the entropy floors of the gap counts.
 
 ``RootModel(d, alpha)`` is the root law: with alpha None, d i.i.d. uniform
-roots on [0,1]; with alpha > 0, roots whose d+1 inter-root gaps follow a
-symmetric Dirichlet(alpha) (sampled as normalized Gamma(alpha, 1) draws).
+roots on [0,1]; with alpha > 0 (and at least a floor near 0.04), roots whose
+d+1 gaps follow a symmetric Dirichlet(alpha), as normalized Gamma(alpha, 1)s.
 Points are i.i.d. uniform on [0,1].  ``trial_rng(master, stream)`` is the
 generator of one trial, so a (master, stream) pair fixes every draw.
 
@@ -52,14 +52,22 @@ def trial_rng(master: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class RootModel:
+    """A Dirichlet alpha is at least (41 + log2(d+1)) / 1075 (0.05 serves d <= 6,000).
+
+    A Gamma(alpha, 1) draw below 2^-1075 rounds to 0; P(Gamma(alpha, 1) < x) <=
+    x^alpha / Gamma(alpha + 1) and Gamma(alpha + 1) > 1/2, so at the floor some
+    of the d+1 gaps is 0 with chance below 2^-40 (at d = 8, alpha = 1e-4: 1 - 5e-11)."""
+
     d: int
     alpha: Optional[float] = None  # None: uniform roots; else Dirichlet(alpha) gaps
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be at least 1")
-        if self.alpha is not None and not 0 < self.alpha < math.inf:
-            raise ValueError(f"dirichlet alpha must be finite and > 0, not {self.alpha!r}")
+        floor = (41 + math.log2(self.d + 1)) / 1075
+        if self.alpha is not None and not floor <= self.alpha < math.inf:
+            bound = f"finite and > 0, and at least {floor:.4f} at d = {self.d}"
+            raise ValueError(f"dirichlet alpha must be {bound}, not {self.alpha!r}")
 
     @property
     def kind(self) -> str:
@@ -85,11 +93,9 @@ def uniform_points(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def dirichlet_gaps(d: int, alpha: float, rng: np.random.Generator) -> np.ndarray:
-    """d+1 gaps from the symmetric Dirichlet(alpha), via normalized Gamma draws."""
-    while True:
-        g = rng.gamma(alpha, 1.0, size=d + 1)
-        if np.all(g > 0):  # tiny alpha can underflow a draw to zero
-            return g / g.sum()
+    """d+1 gaps from the symmetric Dirichlet(alpha), via normalized Gamma draws, never redrawn."""
+    g = rng.gamma(alpha, 1.0, size=d + 1)
+    return g / g.sum()
 
 
 def sample_roots(model: RootModel, rng: np.random.Generator, backend: str = EXACT) -> list:

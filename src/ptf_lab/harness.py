@@ -186,13 +186,12 @@ def run_trial(config: ExperimentConfig, cell: dict, stream: int) -> Trial:
         if config.learner == ITERATIVE:
             result = iterative.learn_all(instance, oracle)
         elif config.learner == BATCH:
-            params = batch.BatchParams(d=d, n=n, alpha=cell["alpha"])
-            result = batch.learn_all(instance, oracle, params, rng)
+            result = batch.learn_all(instance, oracle, cell["alpha"], rng)
             row["iterations"] = result.iterations
             row["loop_rounds"] = result.loop_rounds
             row["final_round"] = result.final_round
         else:
-            result = sample_search.sample_and_search(instance, oracle, d, rng)
+            result = sample_search.sample_and_search(instance, oracle, rng)
             row["z"] = result.z
             row["case"] = result.case
         wall_ms = (time.perf_counter() - start) * 1000.0
@@ -361,11 +360,15 @@ def compare_entropy(paths: Sequence[str | Path]) -> list[dict]:
     ``dirichlet_multinomial_entropy(n, d, alpha)`` with alpha = 1 for uniform
     roots, and ``ok`` says whether its mean query count clears the floor minus
     3 standard errors.  At alpha = 0.1, d = 8, n = 4096 (300 trials, seed 7)
-    sample_search averaged 4,067 queries against a 49.5-bit floor.
+    sample_search averaged 4,067 queries against a 49.5-bit floor.  Raises
+    ValueError on a file that is not JSON, or if no sample_search cell is read.
     """
     report = []
     for path in paths:
-        agg = json.loads(Path(path).read_text())
+        try:
+            agg = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"{path} is not a JSON sidecar of `run`: {exc}") from None
         if agg["config"]["learner"] != SAMPLE_SEARCH:
             continue
         for cell in agg["cells"]:
@@ -386,6 +389,8 @@ def compare_entropy(paths: Sequence[str | Path]) -> list[dict]:
                 "ok": mean >= floor - slack,
             }
             report.append(rec)
+    if not report:  # a check that read no cell would pass having checked nothing
+        raise ValueError(f"no sample_search cell in {', '.join(map(str, paths))}")
     return report
 
 

@@ -2,25 +2,26 @@
 
 Phase 1 queries uniformly random not-yet-queried points until either every
 point has been queried (case "a") or the queried points, read in sorted
-order, show d sign flips (case "b").  With a hidden polynomial of exactly d
-real roots, d flips pin one root per flip gap, so each gap's boundary is
-found by binary search (``iterative.find_flip``, the same search the
-iterative learner runs on a segment) and every other point inherits the
-sign of its bracketing queried neighbours.
+order, show d sign flips, d the instance's degree bound (case "b").  With a
+hidden polynomial of exactly d real roots, d flips pin one root per flip
+gap, so each gap's boundary is found by binary search (``iterative.find_flip``,
+the same search the iterative learner runs on a segment) and every other
+point inherits the sign of its bracketing queried neighbours.
 
 Phase 1 keeps only the runs of equal sign that the probes show in x order:
 at most d + 1 of them while no more than d flips are seen, stored as a flat
 list of each run's first and last probe index beside a list of run signs.
-One ``bisect_left`` on those ends places a probe inside a run, between two
-runs (it joins the one whose sign it has) or past an end (a different sign
-opens a new run: 1 flip).  Only a different sign inside a run (2 flips)
-needs the run's probes: its nearest probes on either side are looked up in
-the probe order's prefix.  Phase 2, one pass for both cases, brackets each
-flip by the last probe of one run and the first probe of the next; in case
-"a" every point is a probe, so each bracket is two adjacent probes and its
-search asks nothing.  Probes are read one Python scalar at a time
-(``.item``), so no numpy scalar is made per probe.  Phase 2's query count is
-the oracle's, taken before and after.
+With pos a probe's ``bisect_left`` in those ends and j = pos >> 1, one rule
+places it: inside run j, it continues the run if it has the run's sign and
+splits it otherwise (2 flips; only a split looks up the probe's nearest
+probes, in the probe order's prefix); else it joins run j if that has its
+sign, else run j - 1 if that does, else opens a run at j (1 flip).  Between
+two runs, of opposite signs, exactly one join applies.  Phase 2, one pass
+for both cases, brackets each flip by the last probe of one run and the
+first probe of the next; in case "a" every point is a probe, so each
+bracket is two adjacent probes and its search asks nothing.  Probes are read
+one Python scalar at a time (``.item``), so no numpy scalar is made per
+probe.  Phase 2's query count is the oracle's, taken before and after.
 """
 
 from __future__ import annotations
@@ -51,30 +52,26 @@ class AvgCaseResult:
     number) and Var Z ~ 4n: Z is heavy-tailed, so sample means of Z are
     poor estimators of E[Z].
 
-    ``flips`` is the number of runs of equal sign among the z probes, read
-    in x order, less one.  In case "b" it equals the promised root count,
-    and ``search_queries`` are the binary searches between each run's last
-    probe and the next run's first; in case "a" those probes are adjacent,
-    so ``search_queries`` is 0.
+    ``search_queries`` counts the searches between each run's last probe and
+    the next run's first: 0 in case "a", where those probes are adjacent.
     """
 
     labels: np.ndarray
     z: int  # queries spent in the probing phase
     search_queries: int
     case: str  # "a" (exhausted) or "b" (d flips seen)
-    flips: int
 
 
 def sample_and_search(
-    instance: Instance, oracle: Oracle, d_roots: int, rng: np.random.Generator
+    instance: Instance, oracle: Oracle, rng: np.random.Generator
 ) -> AvgCaseResult:
     """Perfectly label the sample using label queries only.
 
-    ``d_roots`` is the promised number of distinct real roots of the hidden
-    polynomial; phase 1 stops early once that many flips are visible.
-    Raises DegreeViolation if more flips than promised ever show up.
+    n and d come from the instance: d is the promised number of sign changes,
+    and phase 1 stops once that many flips are visible.  Raises
+    DegreeViolation if more flips than promised ever show up.
     """
-    n = instance.n
+    d, n = instance.d, instance.n
     perm = rng.permutation(n)  # uniform probing without replacement
     at = perm.item
     point = instance.points.item  # Python scalars: no numpy scalar per probe
@@ -90,8 +87,8 @@ def sample_and_search(
         idx = at(k)
         s = query(point(idx), 0)
         pos = bisect_left(ends, idx)
+        j = pos >> 1
         if pos & 1:  # strictly inside run j
-            j = pos >> 1
             if run_signs[j] == s:
                 continue
             # split run j around idx at its nearest probes on either side
@@ -99,28 +96,19 @@ def sample_and_search(
             at_idx = seen.searchsorted(idx)
             ends[pos:pos] = (seen.item(at_idx - 1), idx, idx, seen.item(at_idx))
             run_signs[j + 1 : j + 1] = (s, run_signs[j])
-        elif pos == len(ends):  # past the last run, or the first probe
-            if ends and run_signs[-1] == s:
-                ends[-1] = idx
-                continue
-            ends += (idx, idx)
-            run_signs.append(s)
-        elif pos:  # between two runs, of opposite signs: join the one of sign s
-            if run_signs[(pos >> 1) - 1] == s:
-                ends[pos - 1] = idx
-            else:
-                ends[pos] = idx
+        elif j < len(run_signs) and run_signs[j] == s:  # join run j at its first probe
+            ends[pos] = idx
             continue
-        elif run_signs[0] == s:  # before the first run
-            ends[0] = idx
+        elif j and run_signs[j - 1] == s:  # join run j - 1 at its last probe
+            ends[pos - 1] = idx
             continue
-        else:
-            ends[0:0] = (idx, idx)
-            run_signs.insert(0, s)
+        else:  # open a run at position j
+            ends[pos:pos] = (idx, idx)
+            run_signs.insert(j, s)
         flips = len(run_signs) - 1
-        if flips > d_roots:
-            raise DegreeViolation(f"{flips} flips seen but only {d_roots} roots promised")
-        if flips == d_roots > 0:
+        if flips > d:
+            raise DegreeViolation(f"{flips} flips seen but only {d} roots promised")
+        if flips == d > 0:
             z, case = k + 1, "b"
             break
 
@@ -136,12 +124,7 @@ def sample_and_search(
     ]
     search_queries = oracle.queries - before
 
-    labels = np.zeros(n, dtype=np.int8)
-    sign = run_signs[0]
-    prev = 0
-    for b in boundaries:
-        labels[prev : b + 1] = sign
-        sign = -sign
-        prev = b + 1
-    labels[prev:] = sign
-    return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case=case, flips=flips)
+    # run j labels the points after boundary j - 1 up to boundary j
+    cuts = [0, *(b + 1 for b in boundaries), n]
+    labels = np.repeat(np.array(run_signs, dtype=np.int8), np.diff(cuts))
+    return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case=case)

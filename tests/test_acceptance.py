@@ -372,8 +372,7 @@ def test_criterion_11_cross_learner_sanity():
         o1 = Oracle(inst.hidden, 3)
         res_iter = iterative.learn_all(inst, o1)
         o2 = Oracle(inst.hidden, 3)
-        params = batch.BatchParams(d=3, n=512, alpha=0.5)
-        res_batch = batch.learn_all(inst, o2, params, trial_rng(19_500, t))
+        res_batch = batch.learn_all(inst, o2, 0.5, trial_rng(19_500, t))
         if not np.array_equal(res_iter.labels, res_batch.labels):
             mismatches += 1
     criterion(

@@ -191,8 +191,7 @@ class TestLearnAll:
     def test_degenerate_single_exhaustive_batch(self):
         inst = make_instance(100, 2, seed=31)
         oracle = full_oracle(inst)
-        params = BatchParams(d=2, n=100, alpha=1.0)  # m = 1800 >= n
-        res = learn_all(inst, oracle, params, trial_rng(32))
+        res = learn_all(inst, oracle, 1.0, trial_rng(32))  # m = 1800 >= n
         assert np.array_equal(res.labels, true_labels(inst))
         assert oracle.rounds == 1
         assert res.loop_rounds == 0 and res.final_round
@@ -201,8 +200,7 @@ class TestLearnAll:
         for seed in range(10):
             inst = make_instance(4000, 2, seed=seed)
             oracle = full_oracle(inst)
-            params = BatchParams(d=2, n=4000, alpha=0.4)
-            res = learn_all(inst, oracle, params, trial_rng(seed + 100))
+            res = learn_all(inst, oracle, 0.4, trial_rng(seed + 100))
             assert oracle.rounds == res.loop_rounds + int(res.final_round)
             assert np.array_equal(res.labels, true_labels(inst))
 
@@ -211,8 +209,7 @@ class TestLearnAll:
             d = 1 + seed % 3
             inst = make_instance(120, d, seed=seed, backend="exact")
             oracle = full_oracle(inst)
-            params = BatchParams(d=d, n=120, alpha=0.5)
-            res = learn_all(inst, oracle, params, trial_rng(seed + 200))
+            res = learn_all(inst, oracle, 0.5, trial_rng(seed + 200))
             assert np.array_equal(res.labels, true_labels(inst))
 
     def test_generator_called_once_per_batch(self):
@@ -228,24 +225,19 @@ class TestLearnAll:
         inst = make_instance(4096, 2, seed=7)
         params = BatchParams(d=2, n=4096, alpha=0.2)
         rec = Recording(trial_rng(8))
-        res = learn_all(inst, full_oracle(inst), params, rec)
+        res = learn_all(inst, full_oracle(inst), params.alpha, rec)
         assert np.array_equal(res.labels, true_labels(inst))
         assert res.iterations >= 2 and len(rec.calls) == res.loop_rounds
         sizes = [args[1] for args, _ in rec.calls]
         assert all(args[0] == 0 and kw == {"size": params.m} for args, kw in rec.calls)
         assert sizes[0] == 4096 and sizes == sorted(sizes, reverse=True)
 
-    def test_rejects_mismatched_params(self):
-        inst = make_instance(64, 2, seed=1)
-        with pytest.raises(ValueError):
-            learn_all(inst, full_oracle(inst), BatchParams(d=2, n=128, alpha=0.5), trial_rng(0))
-
     def test_rejects_restricted_oracle(self):
         # a label-only oracle, and a full one of another degree bound
         inst = make_instance(64, 3, seed=1)
         for oracle in (label_oracle(inst), Oracle(inst.hidden, 4)):
             with pytest.raises(ValueError, match="needs orders 0..d-1"):
-                learn_all(inst, oracle, BatchParams(d=3, n=64, alpha=0.5), trial_rng(0))
+                learn_all(inst, oracle, 0.5, trial_rng(0))
             assert oracle.queries == 0
 
 
@@ -356,13 +348,12 @@ class TestLogScaling:
 
         def mean_total(n, seed0, trials=40):
             alpha = 2 / math.log2(n)
-            params = BatchParams(d=d, n=n, alpha=alpha)
             totals = []
             for t in range(trials):
                 rng = trial_rng(seed0, t)
                 inst = make_instance(n, d, seed=seed0 * 1000 + t)
                 oracle = full_oracle(inst)
-                res = learn_all(inst, oracle, params, rng)
+                res = learn_all(inst, oracle, alpha, rng)
                 assert np.array_equal(res.labels, true_labels(inst))
                 totals.append(oracle.queries)
             return float(np.mean(totals))

@@ -216,6 +216,10 @@ class TestRootModels:
                 RootModel(2, alpha)
         with pytest.raises(ValueError, match="d must be at least 1"):
             RootModel(0)
+        # below the floor a Gamma(alpha) gap rounds to 0 too often to draw
+        with pytest.raises(ValueError, match="and at least 0.0411 at d = 8, not 0.0001"):
+            RootModel(8, 1e-4)
+        assert RootModel(6000, 0.05).alpha == 0.05
 
     def test_random_instance_shapes(self):
         inst = random_instance(64, RootModel(2), trial_rng(18))

@@ -199,9 +199,8 @@ class TestRun:
             inst = random_instance(n, model, rng, backend=EXACT)
             oracle = Oracle(inst.hidden, d)
             if learner == harness.BATCH:
-                params = batch.BatchParams(d=d, n=n, alpha=0.5)
-                res = batch.learn_all(inst, oracle, params, rng)
-                assert row["iterations"] == res.iterations <= params.t
+                res = batch.learn_all(inst, oracle, 0.5, rng)
+                assert row["iterations"] == res.iterations <= batch.BatchParams(d, n, 0.5).t
                 assert row["rounds"] == row["loop_rounds"] + row["final_round"]
             else:
                 iterative.learn_all(inst, oracle)
@@ -615,6 +614,8 @@ class TestCli:
         capsys.readouterr()
         for bad, message in [
             (["--dirichlet-alpha", "0"], "ptf-lab run: error: dirichlet alpha must be finite"),
+            # a Gamma(1e-4) gap rounds to 0 with probability 0.93; at d = 8 the redraw never ended
+            (["--dirichlet-alpha", "1e-4"], "alpha must be finite and > 0, and at least 0.0396 at d = 2"),
             (["--model", "dirichlet"], "unrecognized arguments: --model dirichlet"),
         ]:
             with pytest.raises(SystemExit) as exc:
@@ -665,3 +666,27 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert cli.main(["compare-entropy", str(path)]) == 1
+
+    @pytest.mark.parametrize("name", ["missing.json", ".", "ss.csv"])
+    def test_compare_entropy_unreadable_file_is_an_error(self, tmp_path, capsys, name):
+        # a missing file, a directory and the run's CSV: one line, no traceback
+        run(small_config(learner=harness.SAMPLE_SEARCH, out=str(tmp_path / "ss.csv")))
+        capsys.readouterr()
+        assert cli.main(["compare-entropy", str(tmp_path / name)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("ptf-lab compare-entropy: error: ")
+
+    def test_compare_entropy_with_no_sample_search_cell_fails(self, tmp_path, capsys):
+        # a check that read no cell checked nothing, so it must not pass
+        paths = []
+        for learner, kw in [(harness.ITERATIVE, {}), (harness.BATCH, {"alphas": (0.5,)})]:
+            out = tmp_path / f"{learner}.csv"
+            run(small_config(learner=learner, n_values=(64,), out=str(out), **kw))
+            paths.append(str(out.with_suffix(".json")))
+        capsys.readouterr()
+        assert cli.main(["compare-entropy", *paths]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        want = f"no sample_search cell in {', '.join(paths)}"
+        assert err == f"ptf-lab compare-entropy: error: {want}\n"

@@ -34,10 +34,9 @@ def learn(learner: str, instance: Instance, rng) -> tuple:
     if learner == ITERATIVE:
         result = iterative.learn_all(instance, oracle)
     elif learner == BATCH:
-        params = batch.BatchParams(d=d, n=instance.n, alpha=0.5)
-        result = batch.learn_all(instance, oracle, params, rng)
+        result = batch.learn_all(instance, oracle, 0.5, rng)
     else:
-        result = sample_search.sample_and_search(instance, oracle, d, rng)
+        result = sample_search.sample_and_search(instance, oracle, rng)
     return np.asarray(result.labels), list(oracle.per_order), oracle.rounds
 
 

@@ -45,6 +45,15 @@ class FixedOrder:
         return np.array(self.order)
 
 
+def promising(points, d):
+    """An instance over ``points`` that promises at most d sign changes.
+
+    Its own polynomial is the constant 1; paired with an oracle for a
+    polynomial with more sign changes, it is a broken promise.
+    """
+    return Instance(np.array(points), Polynomial([1.0]), d, ())
+
+
 class TestSampleAndSearch:
     def test_no_roots_queries_everything(self):
         # hidden strictly positive on the sample: no flip can ever appear
@@ -52,7 +61,7 @@ class TestSampleAndSearch:
         points = np.sort(rng.random(50))
         inst = Instance(points=points, hidden=Polynomial([1.0, 0.0, 1.0]), d=2, roots=())
         oracle = label_oracle(inst)
-        res = sample_and_search(inst, oracle, 0, trial_rng(2))
+        res = sample_and_search(inst, oracle, trial_rng(2))
         assert res.case == "a"
         assert res.z == 50
         assert res.search_queries == 0
@@ -61,7 +70,7 @@ class TestSampleAndSearch:
     def test_two_points_one_root(self):
         inst = Instance(points=np.array([0.1, 0.9]), hidden=from_roots([0.5]), d=1, roots=(0.5,))
         oracle = label_oracle(inst)
-        res = sample_and_search(inst, oracle, 1, trial_rng(3))
+        res = sample_and_search(inst, oracle, trial_rng(3))
         assert res.case == "b"
         assert res.z == 2
         assert list(res.labels) == [-1, 1]
@@ -72,9 +81,8 @@ class TestSampleAndSearch:
             d = 1 + seed % 5
             inst = make_instance(300, d, seed=seed + 500)
             oracle = label_oracle(inst)
-            res = sample_and_search(inst, oracle, d, trial_rng(seed + 600))
+            res = sample_and_search(inst, oracle, trial_rng(seed + 600))
             assert np.array_equal(res.labels, true_labels(inst)), seed
-            assert res.flips <= d
             assert res.search_queries <= d * (math.ceil(math.log2(300)) + 2)
             assert res.z + res.search_queries == oracle.queries
 
@@ -82,7 +90,7 @@ class TestSampleAndSearch:
         for seed in range(10):
             inst = make_instance(64, 2, seed=seed + 700, backend="exact")
             oracle = label_oracle(inst)
-            res = sample_and_search(inst, oracle, 2, trial_rng(seed + 800))
+            res = sample_and_search(inst, oracle, trial_rng(seed + 800))
             assert np.array_equal(res.labels, true_labels(inst))
 
     def test_fallback_when_flips_hide(self):
@@ -94,34 +102,30 @@ class TestSampleAndSearch:
             roots=(0.4, 0.6),
         )
         oracle = label_oracle(inst)
-        res = sample_and_search(inst, oracle, 2, trial_rng(4))
+        res = sample_and_search(inst, oracle, trial_rng(4))
         assert res.case == "a"
         assert np.array_equal(res.labels, true_labels(inst))
 
     def test_degree_violation_on_bad_promise(self):
-        inst = Instance(
-            points=np.array([0.1, 0.5, 0.9]),
-            hidden=from_roots([0.3, 0.7]),
-            d=2,
-            roots=(0.3, 0.7),
-        )
-        oracle = label_oracle(inst)
+        # the instance promises 1 sign change; the oracle's polynomial has 2
+        inst = promising([0.1, 0.5, 0.9], 1)
+        oracle = Oracle(from_roots([0.3, 0.7]), 2, label_only=True)
         with pytest.raises(DegreeViolation):
-            sample_and_search(inst, oracle, 1, FixedOrder([0, 2, 1]))
+            sample_and_search(inst, oracle, FixedOrder([0, 2, 1]))
 
     def test_only_label_queries_needed(self):
         inst = make_instance(100, 3, seed=900)
         oracle = Oracle(inst.hidden, 3, label_only=True)
-        res = sample_and_search(inst, oracle, 3, trial_rng(901))
+        res = sample_and_search(inst, oracle, trial_rng(901))
         assert oracle.per_order == (oracle.queries,)
         assert np.array_equal(res.labels, true_labels(inst))
 
 
 class RecordingOracle(Oracle):
-    """A label-only oracle that keeps every (x, order) it is asked, in order."""
+    """A label-only oracle for ``hidden`` that keeps every (x, order) it is asked, in order."""
 
-    def __init__(self, instance):
-        super().__init__(instance.hidden, instance.d, label_only=True)
+    def __init__(self, hidden):
+        super().__init__(hidden, max(hidden.degree, 1), label_only=True)
         self.asked = []
 
     def query(self, x, order):
@@ -129,16 +133,19 @@ class RecordingOracle(Oracle):
         return super().query(x, order)
 
 
-def run_recorded(learner, inst, d_roots, seed):
-    return run_with(learner, inst, d_roots, trial_rng(seed, 1))
+def run_recorded(learner, inst, seed, hidden=None):
+    return run_with(learner, inst, trial_rng(seed, 1), hidden)
 
 
-def run_with(learner, inst, d_roots, rng):
-    """The learner's result (or DegreeViolation message), queries and counts."""
-    oracle = RecordingOracle(inst)
+def run_with(learner, inst, rng, hidden=None):
+    """The learner's result (or DegreeViolation message), queries and counts.
+
+    The oracle answers for ``hidden``, by default the instance's own polynomial.
+    """
+    oracle = RecordingOracle(inst.hidden if hidden is None else hidden)
     try:
-        res = learner(inst, oracle, d_roots, rng)
-        out = (res.z, res.case, res.flips, res.search_queries, res.labels.tolist())
+        res = learner(inst, oracle, rng)
+        out = (res.z, res.case, res.search_queries, res.labels.tolist())
     except DegreeViolation as exc:
         out = str(exc)
     return out, oracle.asked, (oracle.queries, oracle.rounds, oracle.per_order)
@@ -154,13 +161,15 @@ def run_with(learner, inst, d_roots, rng):
 )
 @settings(max_examples=20, deadline=None)
 def test_matches_reference_rule(n, alpha, seed, d, backend, fewer):
-    # d_roots below the root count d may raise DegreeViolation; both must
+    # a promise below the root count d may raise DegreeViolation; both must
     # then raise after the same queries
     rng = trial_rng(seed)
     inst = random_instance(n, RootModel(d, alpha), rng, backend=backend, random_leading=True)
-    d_roots = max(d - fewer, 0)
-    got, got_asked, got_counts = run_recorded(sample_and_search, inst, d_roots, seed)
-    want, want_asked, want_counts = run_recorded(reference_sample_and_search, inst, d_roots, seed)
+    promised = promising(inst.points, max(d - fewer, 0)) if fewer else inst
+    got, got_asked, got_counts = run_recorded(sample_and_search, promised, seed, inst.hidden)
+    want, want_asked, want_counts = run_recorded(
+        reference_sample_and_search, promised, seed, inst.hidden
+    )
     assert got_asked == want_asked
     assert got == want
     assert got_counts == want_counts
@@ -170,7 +179,8 @@ TEN_POINTS = [(i + 0.5) / 10 for i in range(10)]
 THREE_ROOTS = (Fraction(1, 10), Fraction(6, 10), Fraction(9, 10))  # signs - + + + + + - - - +
 TWO_ROOTS = (Fraction(42, 100), Fraction(58, 100))  # signs + + + + - - + + + +
 
-# name: (points, roots, leading sign, d_roots, probe order, (case, z, search queries))
+# name: (points, roots, leading sign, degree bound d, probe order, (case, z, search queries));
+# a d below the root count breaks the promise, so the learner must raise DegreeViolation
 PHASE_ONE_CASES = {
     # 4 lands between the runs [2]+ and [7]- and joins the + run on its left
     "gap-joins-left-run": (
@@ -203,15 +213,16 @@ PHASE_ONE_CASES = {
 
 @pytest.mark.parametrize("name", PHASE_ONE_CASES)
 def test_phase_one_branches_match_reference(name):
-    points, roots, leading, d_roots, order, want = PHASE_ONE_CASES[name]
-    inst = Instance(np.array(points), from_roots(roots, leading=leading), len(roots), roots)
-    got, got_asked, got_counts = run_with(sample_and_search, inst, d_roots, FixedOrder(order))
-    ref = run_with(reference_sample_and_search, inst, d_roots, FixedOrder(order))
+    points, roots, leading, d, order, want = PHASE_ONE_CASES[name]
+    hidden = from_roots(roots, leading=leading)
+    inst = promising(points, d) if d < len(roots) else Instance(np.array(points), hidden, d, roots)
+    got, got_asked, got_counts = run_with(sample_and_search, inst, FixedOrder(order), hidden)
+    ref = run_with(reference_sample_and_search, inst, FixedOrder(order), hidden)
     assert (got, got_asked, got_counts) == ref
     if want is None:
-        assert got == f"1 flips seen but only {d_roots} roots promised"
+        assert got == f"1 flips seen but only {d} roots promised"
     else:
-        z, case, _, search_queries, labels = got
+        z, case, search_queries, labels = got
         assert (case, z, search_queries) == want
         assert labels == true_labels(inst).tolist()
 
@@ -227,7 +238,7 @@ def test_phase_one_keeps_at_most_two_ends_per_run(monkeypatch):
 
     monkeypatch.setattr(sample_search, "bisect_left", counting_bisect_left)
     inst = make_instance(4096, 6, seed=21)
-    res = sample_and_search(inst, label_oracle(inst), 6, trial_rng(22))
+    res = sample_and_search(inst, label_oracle(inst), trial_rng(22))
     assert res.case == "b" and res.z > 2 * (6 + 1) + 1
     assert len(searched) == res.z
     assert max(searched) <= 2 * (6 + 1)
@@ -252,7 +263,8 @@ def on_and_beside_roots(points, roots):
 )
 @settings(max_examples=10, deadline=None)
 def test_exact_edge_cases_match_reference(n, beside_roots, leading, seed, d, fewer, alpha):
-    # the hidden polynomial has d_roots = d - fewer roots, under a degree bound of d
+    # the hidden polynomial has d_roots = d - fewer roots, and its instance
+    # promises exactly that many
     d_roots = max(d - fewer, 1)
     model = RootModel(d_roots, alpha)
     rng = trial_rng(seed)
@@ -260,9 +272,9 @@ def test_exact_edge_cases_match_reference(n, beside_roots, leading, seed, d, few
     points = uniform_points(n, rng)
     if beside_roots:
         points = on_and_beside_roots(points, roots)
-    inst = Instance(points, from_roots(roots, leading=leading), d, roots)
-    got, got_asked, got_counts = run_recorded(sample_and_search, inst, d_roots, seed)
-    want = run_recorded(reference_sample_and_search, inst, d_roots, seed)
+    inst = Instance(points, from_roots(roots, leading=leading), d_roots, roots)
+    got, got_asked, got_counts = run_recorded(sample_and_search, inst, seed)
+    want = run_recorded(reference_sample_and_search, inst, seed)
     assert (got, got_asked, got_counts) == want
     assert not isinstance(got, str), got  # the promise holds, so nothing raises
     *_, search_queries, labels = got

@@ -160,10 +160,12 @@ def restricted_infer(queried, targets) -> list[tuple[int, int]]:
     return out
 
 
-def reference_sample_and_search(instance, oracle, d_roots, rng) -> AvgCaseResult:
+def reference_sample_and_search(instance, oracle, rng) -> AvgCaseResult:
     """Reference for ``sample_search.sample_and_search``: the flip count of
     phase 1 kept by a ``flip_delta`` rule over a dict of signs, recomputing
-    each new probe's change from its neighbours as three separate terms."""
+    each new probe's change from its neighbours as three separate terms.
+    The promised root count is the instance's degree bound d."""
+    d_roots = instance.d
     n = instance.n
     points = instance.points
     order_of_query = rng.permutation(n)
@@ -206,7 +208,7 @@ def reference_sample_and_search(instance, oracle, d_roots, rng) -> AvgCaseResult
     if case == "a":
         for idx, s in signs.items():
             labels[idx] = s
-        return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case="a", flips=flips)
+        return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case="a")
 
     def ask(idx: int) -> int:
         nonlocal search_queries
@@ -225,7 +227,7 @@ def reference_sample_and_search(instance, oracle, d_roots, rng) -> AvgCaseResult
         sign = -sign
         prev = b + 1
     labels[prev:] = sign
-    return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case="b", flips=flips)
+    return AvgCaseResult(labels=labels, z=z, search_queries=search_queries, case="b")
 
 
 def query_sandwich(level_signs: dict, n: int) -> tuple[int, int]:
