@@ -17,13 +17,13 @@ uses to count the points a witness leaves inferable.
 Each round is one block request, ``oracle.query_batch(xs, range(d))``, and
 its answer keeps the oracle's (orders x points) layout: row o holds the
 signs of derivative o at the batch's points in x order, and row 0 is their
-labels.  The bookkeeping is a few linear array passes per batch, with no
-sorting or binary search: the sampled set is a boolean mask over the
-remaining points, its positions come from one ``flatnonzero``, and
-``infer_labels`` labels every remaining point from its gap between queried
-points, found by counting.  While every point remains (the first outer
-iteration) the points are addressed directly, with no index array over all
-n of them.  The generator is called exactly once per batch, as
+labels.  The bookkeeping is one sort of the m draws and a few linear array
+passes per batch, with no binary search: the sampled positions are the
+sorted draws with repeats dropped (no n-length mask), and ``infer_labels``
+labels every remaining point from its gap between queried points, found by
+counting.  While every point remains (the first outer iteration) the points
+are addressed directly, with no index array over all n of them.  The
+generator is called exactly once per batch, as
 ``rng.integers(0, len(remaining), size=m)``, and nowhere else, so a seed
 fixes every batch.
 """
@@ -154,9 +154,8 @@ def learn_all(
             bodies += 1
             if bodies > guard:
                 raise NonTermination(f"coverage loop exceeded {guard} batches")
-            hit = np.zeros(size, dtype=bool)
-            hit[rng.integers(0, size, size=m)] = True
-            at = np.flatnonzero(hit)
+            at = np.sort(rng.integers(0, size, size=m))
+            at = at[np.concatenate(([True], at[1:] != at[:-1]))]  # drop repeats
             known = infer_labels(at, size, oracle.query_batch(xs[at], orders))
             loop_rounds += 1
             unqueried = size - len(at)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -77,13 +78,15 @@ class RootModel:
 def uniform_points(n: int, rng: np.random.Generator) -> np.ndarray:
     """n sorted i.i.d. Uniform[0,1] draws, de-duplicated by resampling.
 
+    The draws are sorted in place, which allocates no second n-length array.
     A plain sort is what ``np.unique`` returns when no two draws collide;
     only a collision takes the ``np.unique`` resampling loop, so the stream
     and the points are the same either way.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    pts = np.sort(rng.random(n))
+    pts = rng.random(n)
+    pts.sort()
     if np.all(pts[1:] != pts[:-1]):
         return pts
     pts = np.unique(pts)  # exact float collisions are resampled
@@ -101,8 +104,9 @@ def dirichlet_gaps(d: int, alpha: float, rng: np.random.Generator) -> np.ndarray
 def sample_roots(model: RootModel, rng: np.random.Generator, backend: str = EXACT) -> list:
     """Sample d sorted, distinct roots with the model's distribution.
 
-    Uniform: d i.i.d. U[0,1] roots, drawn again while two repeat or one is
-    0; they are ``Fraction``s in the exact draw mode (the default) and the
+    Uniform: d i.i.d. U[0,1] roots, drawn again while the sorted draw, as a
+    Python list, is not strictly increasing (two repeat) or starts at 0;
+    they are ``Fraction``s in the exact draw mode (the default) and the
     same values as floats in the float draw mode.  Dirichlet: the d+1
     sampled gaps, read as ``Fraction``s, are renormalized to sum to 1
     exactly, and the roots are their exact prefix sums, in both draw modes;
@@ -111,10 +115,9 @@ def sample_roots(model: RootModel, rng: np.random.Generator, backend: str = EXAC
     """
     d = model.d
     if model.alpha is None:
-        roots = np.sort(rng.random(d))
-        while len(np.unique(roots)) < d or roots[0] == 0.0:
-            roots = np.sort(rng.random(d))
-        roots = roots.tolist()
+        roots = np.sort(rng.random(d)).tolist()
+        while roots[0] == 0.0 or not all(map(operator.lt, roots, roots[1:])):
+            roots = np.sort(rng.random(d)).tolist()
         if backend == EXACT:
             roots = [Fraction(r) for r in roots]
     else:

@@ -21,6 +21,7 @@ polynomial, so it shares no code with the oracle's sign evaluation.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,12 @@ from .polynomial import Polynomial
 
 @dataclass(frozen=True)
 class Instance:
+    """Points, hidden polynomial, degree bound and roots, checked when made.
+
+    Float64 points are checked in one strictly-increasing pass; NaN fails
+    every comparison, so only the two ends need a finiteness test.
+    """
+
     points: np.ndarray  # strictly increasing float64
     hidden: Polynomial
     d: int
@@ -48,7 +55,11 @@ class Instance:
             if any(Fraction(f) != p for f, p in zip(pts.tolist(), given)):
                 raise ValueError("points must be float64 values; one would be rounded")
             object.__setattr__(self, "points", pts)
-        if not (np.all(np.isfinite(pts)) and np.all(pts[1:] > pts[:-1])):
+        # one pass: NaN fails every comparison, so strictly increasing points
+        # are finite when their two ends are
+        if pts.size and not (
+            math.isfinite(pts[0]) and math.isfinite(pts[-1]) and (pts[1:] > pts[:-1]).all()
+        ):
             raise ValueError("points must be finite and strictly increasing")
         roots = tuple(self.roots)
         object.__setattr__(self, "roots", roots)
@@ -72,26 +83,25 @@ def true_labels(instance: Instance) -> np.ndarray:
     """
     pts, roots = instance.points, instance.roots
     # float(r) is the float nearest r, so a point equal to float(r) is the
-    # only one that can lie on another side of r than of float(r)
-    keys = np.array([float(r) for r in roots])
-    below = np.searchsorted(pts, keys, side="left").tolist()
-    upto = np.searchsorted(pts, keys, side="right").tolist()
-    for i, r in enumerate(roots):
-        if upto[i] > below[i]:  # pts[below[i]] == float(r); place it exactly
-            p = float(pts[below[i]])
-            if p < r:
-                below[i] = upto[i]
-            elif p > r:
-                upto[i] = below[i]
+    # only one that can lie on another side of r than of float(r); a
+    # Fraction's int / int division rounds as float(r) does, and is faster
+    keys = [r.numerator / r.denominator if type(r) is Fraction else float(r) for r in roots]
     sign = instance.hidden.leading_sign
     if len(roots) % 2:
         sign = -sign
-    labels = np.empty(len(pts), dtype=np.int8)
-    start = 0
-    for lo, hi in zip(below, upto):
-        labels[start:lo] = sign
-        labels[lo:hi] = 1
+    # runs of equal labels: below each root, on it, and above the last one
+    values, counts, start = [], [], 0
+    for lo, key, r in zip(np.searchsorted(pts, keys).tolist(), keys, roots):
+        hi = lo
+        if lo < len(pts) and pts[lo] == key:  # place that point exactly
+            if key < r:
+                lo = hi = lo + 1
+            elif key == r:
+                hi = lo + 1
+        values += (sign, 1)
+        counts += (lo - start, hi - lo)
         start = hi
         sign = -sign
-    labels[start:] = sign
-    return labels
+    values.append(sign)
+    counts.append(len(pts) - start)
+    return np.repeat(np.array(values, dtype=np.int8), counts)

@@ -66,6 +66,7 @@ Sign convention: sign(0) = +1 everywhere, with no tolerance band.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence, Union
@@ -77,6 +78,7 @@ Scalar = Union[int, Fraction, float]
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1074  # smallest subnormal, twice the underflow error eta
 _MAX_SUM = 2.0**1000  # above this, float Horner could overflow
+_RATIONALS = (int, Fraction)  # tested by type before the slower isinstance(r, Rational)
 
 
 class DuplicateRoots(ValueError):
@@ -124,7 +126,7 @@ class Polynomial:
         _set(self, "_ints", ints)
         _set(self, "_den", den)
         try:
-            floats = tuple(c / den for c in reversed(ints))  # int / int rounds correctly
+            floats = tuple([c / den for c in ints[::-1]])  # int / int rounds correctly
             total = math.fsum(map(abs, floats))
         except OverflowError:
             floats, total = (), math.inf
@@ -203,7 +205,7 @@ class Polynomial:
             return self
         ints = self._ints
         for _ in range(order):
-            ints = tuple(i * ints[i] for i in range(1, len(ints)))
+            ints = tuple(map(operator.mul, range(1, len(ints)), ints[1:]))
         return _from_ints(ints, self._den)
 
     def __eq__(self, other) -> bool:
@@ -263,26 +265,31 @@ def from_roots(roots: Sequence[Scalar], leading: int = 1) -> Polynomial:
     tolerance.
 
     The exact expansion is prod(b_i x - a_i) over prod(b_i), for roots
-    a_i / b_i, in integers; dividing out the common gcd leaves the integers
-    over the lcm denominator that ``Polynomial`` itself would store.
+    a_i / b_i in lowest terms, in integers.  Each factor is primitive (its
+    coefficients have gcd 1), so by Gauss's lemma so is the product: these
+    are already the integers over the lcm denominator that ``Polynomial``
+    itself would store.  Equal roots have equal pairs whatever their types,
+    and the exact expansion does not depend on the roots' order, so they
+    are checked for repeats on their pairs and not sorted.
     """
     if leading not in (-1, 1):
         raise ValueError("leading sign must be -1 or +1")
+    if all(type(r) in _RATIONALS or isinstance(r, Rational) for r in roots):
+        ratios: dict[tuple[int, int], Scalar] = {}
+        for r in roots:
+            ratio = _ratio(r)
+            if ratio in ratios:
+                raise DuplicateRoots(f"repeated root {ratios[ratio]!r}")
+            ratios[ratio] = r
+        ints, den = [leading], 1
+        for a, b in ratios:
+            ints = [b * p - a * c for p, c in zip([0, *ints], [*ints, 0])]
+            den *= b
+        return _from_ints(tuple(ints), den)
     roots = sorted(roots)
     for a, b in zip(roots, roots[1:]):
         if a == b:
             raise DuplicateRoots(f"repeated root {a!r}")
-    if all(isinstance(r, Rational) for r in roots):
-        ints, den = [leading], 1
-        for r in roots:
-            a, b = _ratio(r)
-            nxt = [0] * (len(ints) + 1)
-            for i, c in enumerate(ints):
-                nxt[i] -= a * c
-                nxt[i + 1] += b * c
-            ints, den = nxt, den * b
-        g = math.gcd(den, *ints)
-        return _from_ints(tuple(c // g for c in ints), den // g)
     coeffs = [1.0]
     for r in roots:
         r = r * 1.0

@@ -667,10 +667,13 @@ class TestCli:
         path.write_text(json.dumps(bad))
         assert cli.main(["compare-entropy", str(path)]) == 1
 
-    @pytest.mark.parametrize("name", ["missing.json", ".", "ss.csv"])
+    @pytest.mark.parametrize("name", ["missing.json", ".", "ss.csv", "{}", "[1]"])
     def test_compare_entropy_unreadable_file_is_an_error(self, tmp_path, capsys, name):
-        # a missing file, a directory and the run's CSV: one line, no traceback
+        # a missing file, a directory, the run's CSV, and JSON that is not a
+        # sidecar (written to a file named after it): one line, no traceback
         run(small_config(learner=harness.SAMPLE_SEARCH, out=str(tmp_path / "ss.csv")))
+        for text in ("{}", "[1]"):
+            (tmp_path / text).write_text(text)
         capsys.readouterr()
         assert cli.main(["compare-entropy", str(tmp_path / name)]) == 2
         out, err = capsys.readouterr()

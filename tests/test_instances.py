@@ -161,3 +161,22 @@ class TestValidation:
             self.instance(self.quadratic, (1, 2), points=(0, 2**53 + 1))
         with pytest.raises(ValueError, match="finite"):
             self.instance(self.quadratic, (1, 2), points=np.array([0.5, np.inf]))
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [np.nan, 0.25, 0.5],
+            [0.25, np.nan, 0.5],
+            [0.25, 0.5, np.nan],
+            [np.nan],
+            [-np.inf, 0.25, 0.5],
+            [0.25, 0.5, np.inf],
+            [np.inf],
+        ],
+        ids=[
+            "nan-first", "nan-middle", "nan-last", "nan-alone", "-inf-first", "inf-last", "inf-alone"
+        ],
+    )
+    def test_rejects_points_that_are_not_finite(self, points):
+        with pytest.raises(ValueError, match="finite"):
+            self.instance(self.quadratic, (1, 2), points=np.array(points))

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, sign evaluation, and pattern tests."""
 
 import copy
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -41,6 +42,23 @@ class TestFromRoots:
     def test_duplicate_roots_rejected(self):
         with pytest.raises(DuplicateRoots):
             from_roots([1, 1, 2])
+
+    @pytest.mark.parametrize(
+        "roots",
+        [[1, F(1)], [np.int64(3), 3], [0.5, F(1, 2)]],
+        ids=["int-fraction", "int64-int", "float-fraction"],
+    )
+    def test_root_repeated_in_another_type_rejected(self, roots):
+        with pytest.raises(DuplicateRoots):
+            from_roots(roots)
+
+    @pytest.mark.parametrize("leading", [1, -1])
+    def test_every_root_order_expands_alike(self, leading):
+        roots = [F(3, 4), 2, F(-1, 3), np.int64(-5), F(7, 2**53)]
+        want = from_roots(sorted(roots), leading=leading)
+        for perm in itertools.permutations(roots):
+            p = from_roots(list(perm), leading=leading)
+            assert p == want and (p._ints, p._den) == (want._ints, want._den)
 
     def test_negative_leading(self):
         assert from_roots([1], leading=-1).coeffs == (1, -1)
@@ -253,6 +271,7 @@ def test_integer_from_roots_matches_fraction_expansion(roots, leading, xs):
     expected = fraction_from_roots(roots, leading=leading)
     assert got.degree == expected.degree == len(roots)
     assert got.coeffs == expected.coeffs
+    assert (got._ints, got._den) == (expected._ints, expected._den)  # no gcd left to divide out
     assert got == expected and hash(got) == hash(expected)
     assert got.leading_sign == expected.leading_sign == (-1 if expected.coeffs[-1] < 0 else 1)
     floats = np.array(xs, dtype=float) / 8  # inside [-1, 1], where the float filter runs
