@@ -19,13 +19,15 @@ its answer keeps the oracle's (orders x points) layout: row o holds the
 signs of derivative o at the batch's points in x order, and row 0 is their
 labels.  The bookkeeping is one sort of the m draws and a few linear array
 passes per batch, with no binary search: the sampled positions are the
-sorted draws with repeats dropped (no n-length mask), and ``infer_labels``
-labels every remaining point from its gap between queried points, found by
-counting.  While every point remains (the first outer iteration) the points
-are addressed directly, with no index array over all n of them.  The
-generator is called exactly once per batch, as
-``rng.integers(0, len(remaining), size=m)``, and nowhere else, so a seed
-fixes every batch.
+sorted draws with repeats dropped (no n-length mask); ``infer_labels``
+labels every remaining point from its gap between queried points, repeating
+each gap's label by the gap's length, taken from the positions by one
+subtraction; and one ``known == 0`` pass per body finds the points still
+unknown, whose count gives the body's coverage.  While every point
+remains (the first outer iteration) the points are addressed directly,
+with no index array over all n of them.  The generator is called exactly
+once per batch, as ``rng.integers(0, len(remaining), size=m)``, and
+nowhere else, so a seed fixes every batch.
 """
 
 from __future__ import annotations
@@ -107,7 +109,11 @@ def infer_labels(at: np.ndarray, size: int, patterns: np.ndarray) -> np.ndarray:
     table = np.zeros(q + 1, dtype=np.int8)
     table[1:q] = np.where(equal, labels[:-1], 0)
     # gap g runs from queried point g - 1 (point 0 for g = 0) up to queried point g
-    known = np.repeat(table, np.diff(at, prepend=0, append=size))
+    gaps = np.empty(q + 1, dtype=np.intp)
+    gaps[:q] = at
+    gaps[q] = size
+    gaps[1:] -= at
+    known = np.repeat(table, gaps)
     known[at] = labels
     return known
 
@@ -158,13 +164,12 @@ def learn_all(
             at = at[np.concatenate(([True], at[1:] != at[:-1]))]  # drop repeats
             known = infer_labels(at, size, oracle.query_batch(xs[at], orders))
             loop_rounds += 1
+            unknown = np.flatnonzero(known == 0)
             unqueried = size - len(at)
-            inferred = np.count_nonzero(known) - len(at)
-            cov = 1.0 if unqueried == 0 else inferred / unqueried
+            cov = 1.0 if unqueried == 0 else (unqueried - len(unknown)) / unqueried
             if cov >= threshold:
                 break
         labels[remaining] = known  # 0 where still unknown, set by a later batch
-        unknown = np.flatnonzero(known == 0)
         remaining = unknown if isinstance(remaining, slice) else remaining[unknown]
 
     xs = points[remaining]

@@ -39,6 +39,7 @@ import io
 import json
 import math
 import numbers
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -87,6 +88,8 @@ CSV_COLUMNS = [
     "correct",
     "wall_ms",
 ]
+
+_csv_cells = operator.itemgetter(*CSV_COLUMNS)  # a row's cells in column order
 
 
 @dataclass(frozen=True)
@@ -309,11 +312,12 @@ def write_outputs(result: ExperimentResult, out_csv: Path) -> None:
     closing a file that was truncated to zero and written again flushes it,
     which cost about 100 us a file, against 12-20 us written over.
     """
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
+    if not out_csv.parent.is_dir():  # mkdir(exist_ok=True) raises and catches on every call
+        out_csv.parent.mkdir(parents=True, exist_ok=True)
     rows = io.StringIO(newline="")
     writer = csv.writer(rows)
     writer.writerow(CSV_COLUMNS)
-    writer.writerows([row.get(c, "") for c in CSV_COLUMNS] for row in result.rows)
+    writer.writerows(map(_csv_cells, result.rows))  # every row holds every column
     _write_over(out_csv, rows.getvalue(), newline="")
     config = result.config  # its fields hold no mutable value, so no asdict copy
     fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}

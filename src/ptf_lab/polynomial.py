@@ -37,10 +37,12 @@ value is above ``_bound`` or below ``-_bound``; the true value then has the
 same sign.  A Python float takes this path as it is; a numpy float64 is
 converted to one first.
 ``eval_sign_block`` does the same for a block of polynomials (rows) at an
-array of points (columns): one array Horner pass over the whole block, on a
-matrix of the rows' ``_floats`` right-aligned, zeros above each row's degree,
-with each row certified by its own ``_bound``.  A leading zero leaves
-Horner's value exactly as without it, so a padded row's floats are its own.
+array of points (columns): each row is one array Horner pass from its own
+leading coefficient, in place in one rows x points float64 array, so a row
+of degree k costs k + 1 steps, and each row is certified by its own
+``_bound``.  A row's value at a point is the float Horner value
+``eval_sign`` computes there (its exact first step, 0 * x + c, skipped), so
+the signs it certifies are ``eval_sign``'s.
 ``eval_sign_many`` is the block's one-row case.  Every other point --
 uncertified, |x| > 1, or not a float (huge ints, ``Fraction``) -- gets
 integer Horner: at x = a/b (b > 0) the sign of
@@ -222,25 +224,26 @@ def eval_sign_block(polys: Sequence[Polynomial], xs: Sequence[Scalar]) -> np.nda
     """``polys[i].eval_sign(xs[j])`` as entry (i, j) of an int8 array."""
     pts, xs = xs, np.asarray(xs)
     # the filter runs on float arrays inside [-1, 1] (NaN fails the test)
-    if xs.dtype != np.float64 or not (xs.size and np.abs(xs).max() <= 1.0):
+    if xs.dtype != np.float64 or not (xs.size and -1.0 <= xs.min() and xs.max() <= 1.0):
         # the points as given: asarray rounds ints to floats beside a float
         # or beside ints of both signs that do not all fit in int64
         pts = pts.tolist() if isinstance(pts, np.ndarray) else list(pts)
         signs = [p.eval_sign(x) for p in polys for x in pts]
         return np.array(signs, dtype=np.int8).reshape(len(polys), len(pts))
-    width = max([1] + [len(p._floats) for p in polys])
-    cs = np.zeros((len(polys), width))
-    for row, p in zip(cs, polys):
-        row[width - len(p._floats) :] = p._floats
-    if width == 1:
-        vals = np.repeat(cs, len(xs), axis=1)
-    else:  # Horner, one rounding per product and per sum
-        vals = cs[:, :1] * xs
-        vals += cs[:, 1:2]
-        for k in range(2, width):
-            vals *= xs
-            vals += cs[:, k : k + 1]
-    signs = np.where(vals < 0, np.int8(-1), np.int8(1))
+    vals = np.empty((len(polys), len(xs)))
+    for row, p in zip(vals, polys):  # Horner from the row's own leading coefficient
+        cs = p._floats
+        if len(cs) < 2:
+            row.fill(cs[0] if cs else 0.0)
+        else:  # one rounding per product and per sum
+            np.multiply(xs, cs[0], out=row)
+            row += cs[1]
+            for c in cs[2:]:
+                row *= xs
+                row += c
+    signs = (vals >= 0).view(np.int8)
+    signs += signs
+    signs -= 1  # +1 at values >= 0 (-0.0 too), -1 below
     np.abs(vals, out=vals)
     unsure = vals <= np.array([p._bound for p in polys])[:, None]
     if unsure.any():

@@ -55,24 +55,39 @@ def scalar_block(hidden, d, xs, orders):
     return [[o.query(x, order) for x in xs] for order in orders], o
 
 
+def near_roots(inst):
+    """An instance's sample points, a few of their negatives, its roots and one
+    ulp either side of each root, as floats."""
+    on = [float(r) for r in inst.roots]
+    near = [np.nextafter(r, side) for r in on for side in (-np.inf, np.inf)]
+    return np.concatenate([inst.points, -inst.points[:8], on, near])
+
+
 def block_cases():
     """(hidden, d, points) for the differential test of query_batch against query.
 
     Exact and float draws with uniform and Dirichlet(0.1) roots, each at its
-    sample points, a few of their negatives, on its roots and one ulp either
-    side of them; Dirichlet roots cluster, so float Horner gets some signs
-    near them wrong.  Then a hidden polynomial of degree 2 under d = 4, whose
-    rows have degrees 2, 1, 0 and -1, and the zero polynomial.
+    ``near_roots`` points; Dirichlet roots cluster, so float Horner gets some
+    signs near them wrong.  Then a hidden polynomial of degree 2 under d = 4,
+    whose rows have degrees 2, 1, 0 and -1, and the zero polynomial.  Then
+    the derivative family of an exact uniform draw at d = 20, whose float
+    filter leaves 496 of its 2,320 entries (116 points) uncertified, in the
+    8 rows of orders 0..7, so that each row's integer Horner is asked; and
+    a cubic with a root at 0, at points that include -0.0 and the smallest
+    subnormals.
     """
     models = (RootModel(6), RootModel(8, 0.1))
     for k, (backend, model) in enumerate((b, m) for b in (EXACT, FLOAT) for m in models):
         inst = random_instance(48, model, trial_rng(61, k), backend=backend)
-        on = [float(r) for r in inst.roots]
-        near = [np.nextafter(r, side) for r in on for side in (-np.inf, np.inf)]
-        yield inst.hidden, model.d, np.concatenate([inst.points, -inst.points[:8], on, near])
+        yield inst.hidden, model.d, near_roots(inst)
     xs = np.array([-1.0, -0.5, 0.0, 0.25, np.nextafter(0.25, 1.0), 0.5, 0.75, 1.0])
     yield from_roots([F(1, 4), F(3, 4)]), 4, xs
     yield Polynomial([]), 3, xs
+    inst = random_instance(48, RootModel(20), trial_rng(61, 4), backend=EXACT)
+    yield inst.hidden, 20, near_roots(inst)
+    tiny = 2.0**-1074
+    xs = np.array([-1.0, -0.5, -tiny, -0.0, 0.0, tiny, 0.5, np.nextafter(0.5, 0.0), 1.0])
+    yield from_roots([F(-1, 2), 0, F(1, 2)]), 3, xs
 
 
 class TestQueryBatch:
@@ -125,7 +140,7 @@ class TestQueryBatch:
                 answers = Oracle(hidden, 3).query_batch(xs, [2, 0, 1])
                 assert answers.tolist() == scalar_block(hidden, 3, xs, [2, 0, 1])[0]
 
-    @pytest.mark.parametrize("case", range(6))
+    @pytest.mark.parametrize("case", range(8))
     def test_block_equals_scalar_queries(self, case):
         hidden, d, xs = list(block_cases())[case]
         orders = list(range(d))[::-1]  # rows of rising degree, so the top row comes last
