@@ -1,23 +1,19 @@
 """Deterministic level-by-level learner.
 
 Works down from the highest informative derivative (order d-1, a linear
-function) to the labels (order 0).  At each level the points are split into
-contiguous segments on which all higher, already-learned derivative signs
-are constant; the current derivative is monotone on each such segment, so a
-single binary search per segment labels it.  Equal endpoint signs
-short-circuit the search: a monotone function whose endpoints share a sign
-(with sign(0) = +1) has that sign on the whole segment.
+function) to the labels (order 0).  At each level the points fall into
+segments on which every higher level's sign is constant, so the level's
+derivative is monotone there: equal endpoint signs (sign(0) = +1) label a
+segment, and otherwise one binary search finds its flip.  The segments are
+a list of their last indices carried down from level to level, since a
+level's sign changes only at those ends or at its flips, which join the
+next level's list.  A level keeps its signs as runs, not as n-point arrays.
 
-No (point, order) query is ever asked twice, so the learner keeps no memo:
-a level asks about one order only, its segments are disjoint, and a
-segment's search asks its two endpoints, then only midpoints strictly inside
-a bracket that shrinks with every probe.
-
-The resulting worst-case query count is the assertable bound
-``query_bound(d, n)``; no d-th order query is ever issued.
-
-``find_flip`` is the one monotone flip search of the package: it serves the
-segment search here and the per-gap search of ``sample_search``.
+No (point, order) query is asked twice, so there is no memo: a level asks
+about one order, its segments are disjoint, and a search asks its two ends,
+then only midpoints strictly inside a shrinking bracket.  The worst case is
+``query_bound(d, n)``; no d-th order query is issued.  ``find_flip``, the
+package's one monotone flip search, serves ``sample_search`` as well.
 """
 
 from __future__ import annotations
@@ -63,9 +59,20 @@ def find_flip(ask: Callable[[int], int], a: int, b: int, s_a: int) -> int:
 
 @dataclass
 class IterativeResult:
+    """Labels, segment counts and each level's runs, left to right, as [sign,
+    length, sign, length, ...]; ``level_signs`` expands them to n signs on read."""
+
     labels: np.ndarray
-    level_signs: dict[int, np.ndarray]  # order -> signs at every point
+    runs: dict[int, list[int]]
     segment_counts: dict[int, int]  # order -> number of segments searched
+
+    @property
+    def level_signs(self) -> dict[int, np.ndarray]:
+        return {order: _expand(run) for order, run in self.runs.items()}
+
+
+def _expand(run: list[int]) -> np.ndarray:
+    return np.repeat(np.array(run[::2], dtype=np.int8), run[1::2])
 
 
 def learn_all(instance: Instance, oracle: Oracle) -> IterativeResult:
@@ -74,36 +81,29 @@ def learn_all(instance: Instance, oracle: Oracle) -> IterativeResult:
     Requires a full oracle (orders 0..d-1).  Output labels are exact on
     every instance; total queries never exceed query_bound(d, n).
     """
-    d = instance.d
-    if oracle.orders != d:
+    if oracle.orders != instance.d:
         raise ValueError("iterative learner needs orders 0..d-1")
     xs = instance.points.tolist()  # Python floats: no numpy scalar per probe
-    n = len(xs)
     query = oracle.query
-    changes = np.zeros(max(n - 1, 0), dtype=bool)  # a higher level's sign changes after i
-    level_signs: dict[int, np.ndarray] = {}
-    segment_counts: dict[int, int] = {}
-    for order in range(d - 1, -1, -1):
-
+    ends = [len(xs) - 1] if xs else []  # the last index of each segment of the level
+    runs, segment_counts = {}, {}
+    for order in reversed(range(instance.d)):
         def ask(i: int) -> int:
             return query(xs[i], order)
 
-        signs = np.empty(n, dtype=np.int8)
-        ends = np.flatnonzero(changes).tolist() + [n - 1] if n else []
-        lo = 0
+        run, next_ends, lo = [], [], 0
         for hi in ends:  # the segment lo..hi, on which this order is monotone
-            s_lo = ask(lo)
-            s_hi = ask(hi) if hi > lo else s_lo
-            if s_lo == s_hi:
-                signs[lo : hi + 1] = s_lo
-            else:
+            s_lo = query(xs[lo], order)
+            s_hi = query(xs[hi], order) if hi > lo else s_lo
+            if s_lo != s_hi:
                 a = find_flip(ask, lo, hi, s_lo)
-                signs[lo : a + 1] = s_lo
-                signs[a + 1 : hi + 1] = s_hi
+                run += s_lo, a + 1 - lo
+                next_ends.append(a)
+                lo = a + 1
+            run += s_hi, hi + 1 - lo
+            next_ends.append(hi)
             lo = hi + 1
-        changes |= signs[1:] != signs[:-1]
-        level_signs[order] = signs
+        runs[order] = run
         segment_counts[order] = len(ends)
-    return IterativeResult(
-        labels=level_signs[0], level_signs=level_signs, segment_counts=segment_counts
-    )
+        ends = next_ends
+    return IterativeResult(_expand(runs[0]), runs, segment_counts)

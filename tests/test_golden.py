@@ -14,10 +14,12 @@ explicit alpha in their name, one of which runs two outer iterations per
 trial, were recorded before the batch learner's bookkeeping moved from
 ``np.unique``/``np.delete`` and binary search to boolean masks and counts.
 The two iterative cells at n = 256, the exact-iterative benchmark's shape,
-were recorded before the exact draws became array passes and the iterative
-learner lost its memo.  The batch cell at d = 6, n = 4096, whose batch size
-m = 5760 exceeds n so that every trial is one exhaustive round, was recorded
-before each round became one (orders x points) block request.
+were recorded before the exact draws became array passes, before the
+iterative learner lost its memo, and before it carried its segment ends as
+lists from level to level and kept each level's signs as runs.  The batch
+cell at d = 6, n = 4096, whose batch size m = 5760 exceeds n so that every
+trial is one exhaustive round, was recorded before each round became one
+(orders x points) block request.
 """
 
 import json

@@ -14,7 +14,9 @@ from ptf_lab.iterative import learn_all, query_bound, segment_bound
 from ptf_lab.oracle import Oracle
 from ptf_lab.polynomial import Polynomial, from_roots
 
-from util import full_oracle, label_oracle, make_instance, query_sandwich, true_signs
+from util import (
+    full_oracle, label_oracle, make_instance, query_sandwich, reference_signs, true_signs,
+)
 
 F = Fraction
 
@@ -97,6 +99,48 @@ class TestBinarySearchSegment:
         res = learn_all(inst, oracle)
         assert list(res.labels) == [1]
         assert oracle.per_order == (1, 1)
+
+
+CUBIC = (F(1, 4), F(1, 2), F(3, 4))  # roots of the cubic in the edge cases below
+
+
+def edge_cases():
+    """(id, instance, labels, per_order, segment_counts) at the learner's edges."""
+    cubic = from_roots(CUBIC)
+    yield "no points", Instance((), cubic, 3, CUBIC), [], (0, 0, 0), {2: 0, 1: 0, 0: 0}
+    # p(1/2) = 0 reads +1, p'(1/2) = -1/16 and p''(1/2) = 0: one query per level
+    yield "n=1", Instance((0.5,), cubic, 3, CUBIC), [1], (1, 1, 1), {2: 1, 1: 1, 0: 1}
+    # p'' changes sign between 0 and 1, so levels 1 and 0 have two one-point segments
+    yield "n=2", Instance((0, 1), cubic, 3, CUBIC), [-1, 1], (2, 2, 2), {2: 1, 1: 2, 0: 2}
+    # every derivative of a constant is the zero polynomial, which reads +1
+    const = Instance(range(1, 9), Polynomial([-2]), 3, ())
+    yield "constant at d=3", const, [-1] * 8, (2, 2, 2), {2: 1, 1: 1, 0: 1}
+    # 2x - 9 at 1..8: the search probes x = 4, 6, 5 and finds the flip after 4
+    linear = Instance(range(1, 9), Polynomial([-9, 2]), 3, (F(9, 2),))
+    yield "linear at d=3", linear, [-1] * 4 + [1] * 4, (5, 2, 2), {2: 1, 1: 1, 0: 1}
+
+
+class TestEdgeInstances:
+    """Instances with no, one or two points, and hidden degree below d."""
+
+    @pytest.mark.parametrize(
+        "inst, labels, per_order, counts",
+        [case[1:] for case in edge_cases()],
+        ids=[case[0] for case in edge_cases()],
+    )
+    def test_pinned_counts_and_exact_level_signs(self, inst, labels, per_order, counts):
+        oracle = full_oracle(inst)
+        res = learn_all(inst, oracle)
+        assert res.labels.dtype == np.int8 and res.labels.tolist() == labels
+        assert oracle.per_order == per_order
+        assert res.segment_counts == counts
+        level_signs = res.level_signs
+        assert sorted(level_signs) == list(range(inst.d))
+        for order, signs in level_signs.items():
+            assert len(signs) == inst.n, order
+            want = reference_signs(inst.hidden.coeffs, inst.points.tolist(), order)
+            assert signs.tolist() == want, order
+        assert np.array_equal(res.labels, true_labels(inst))
 
 
 class TestLearnAll:

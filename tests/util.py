@@ -314,6 +314,57 @@ def fraction_from_roots(roots, leading: int = 1) -> Polynomial:
     return Polynomial([leading * c for c in coeffs])
 
 
+def _times(cs: list, factor: list) -> list:
+    """The product of two polynomials given by ascending coefficient lists."""
+    out = [0] * (len(cs) + len(factor) - 1)
+    for i, c in enumerate(cs):
+        for j, f in enumerate(factor):
+            out[i + j] += c * f
+    return out
+
+
+def full_class_instances(max_d: int = 5, max_n: int = 400):
+    """A hypothesis strategy for exact instances of any PTF of degree at most d.
+
+    The hidden polynomial is lead * prod(x - r) * prod((x - a)^2 + b^2): a
+    leading coefficient of either sign and any positive rational size, distinct
+    real roots r anywhere (some on sample points, some outside the points'
+    range), and quadratic factors with b > 0, which are positive everywhere.
+    Its degree runs from 0 to d.  The points are n >= 3 distinct multiples of
+    1/256 in [-8, 8), so both the float filter (|x| <= 1) and integer Horner
+    answer queries.  ``Instance.roots`` lists the real roots only, so
+    ``true_labels`` reads the labels off them and the leading sign.
+
+    hypothesis is imported here, not with this module: ``sweepbench/run.py``
+    imports this module, and hypothesis would add about 16 MB to its memory.
+    """
+    from hypothesis import strategies as st
+
+    @st.composite
+    def instances(draw) -> Instance:
+        d = draw(st.integers(1, max_d))
+        n = draw(st.integers(3, max_n))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        points = np.sort(rng.choice(2**12, size=n, replace=False)) / 256 - 8
+        rational = st.fractions(-12, 12, max_denominator=64)
+        positive = st.fractions(Fraction(1, 64), 4, max_denominator=64)
+        on_point = st.integers(0, n - 1).map(lambda i: Fraction(points[i]))
+        degree = draw(st.integers(0, d))
+        pairs = draw(st.integers(0, degree // 2))
+        size = degree - 2 * pairs
+        real = draw(
+            st.lists(st.one_of(rational, on_point), min_size=size, max_size=size, unique=True)
+        )
+        lead = draw(st.sampled_from([-1, 1])) * draw(positive)
+        coeffs = list(fraction_from_roots(real, leading=lead).coeffs)
+        for _ in range(pairs):
+            a, b = draw(rational), draw(positive)
+            coeffs = _times(coeffs, [a * a + b * b, -2 * a, 1])
+        return Instance(points=points, hidden=Polynomial(coeffs), d=d, roots=tuple(sorted(real)))
+
+    return instances()
+
+
 def true_signs(instance: Instance, order: int = 0) -> np.ndarray:
     """Signs of the hidden polynomial's order-th derivative at all points."""
     return instance.hidden.derivative(order).eval_sign_many(instance.points)
